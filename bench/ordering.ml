@@ -27,52 +27,16 @@ let measure_urcgc ~rate =
   (Workload.Runner.mean_delay_rtd r, r.Workload.Runner.completion_rtd)
 
 let measure_urgc ~rate =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed:42 in
-  let fault = Net.Fault.create Net.Fault.reliable ~rng:(Sim.Rng.split rng) in
-  let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
-  let cluster = Urgc.Cluster.create ~n ~k ~net () in
-  let produced = ref 0 in
-  Urgc.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if !produced < messages && Sim.Rng.bool rng rate then begin
-            incr produced;
-            Urgc.Cluster.submit cluster node !produced
-          end)
-        (Net.Node_id.group n));
-  Urgc.Cluster.start cluster;
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.to_rtd now >= 200.0 then ()
-    else begin
-      Sim.Engine.run engine ~until:(Sim.Ticks.add now rtd);
-      if !produced >= messages && Urgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
+  let load = Workload.Load.make ~rate ~total_messages:messages () in
+  let r =
+    Workload.Runner_urgc.(
+      report
+        (simulate ~n ~k ~load ~fault:Net.Fault.reliable ~seed:42 ~max_rtd:200.0
+           ()))
   in
-  advance ();
-  if not (Urgc.Cluster.total_order_ok cluster) then
+  if not r.total_order_ok then
     Format.printf "  !! total-order violation at rate %.2f@." rate;
-  let sent_at = Hashtbl.create 256 in
-  List.iter
-    (fun (mid, at) -> Hashtbl.replace sent_at mid at)
-    (Urgc.Cluster.generations cluster);
-  let delays = ref [] and completion = ref 0.0 in
-  List.iter
-    (fun { Urgc.Cluster.data; at; _ } ->
-      completion := Float.max !completion (Sim.Ticks.to_rtd at);
-      match Hashtbl.find_opt sent_at data.Urgc.Total_wire.mid with
-      | Some t0 -> delays := Sim.Ticks.to_rtd (Sim.Ticks.diff at t0) :: !delays
-      | None -> ())
-    (Urgc.Cluster.deliveries cluster);
-  let mean =
-    match !delays with
-    | [] -> 0.0
-    | ds -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)
-  in
-  (mean, !completion)
+  (Workload.Harness.mean_delay_rtd r.delay, r.completion_rtd)
 
 let run () =
   Format.printf

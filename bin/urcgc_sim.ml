@@ -5,28 +5,35 @@
      urcgc_sim run -n 40 --crash 3@5 --crash 7@5 --omission 500 -K 4 --trace
 *)
 
-let parse_crash s =
-  match String.split_on_char '@' s with
-  | [ node; subrun ] -> (
-      match (int_of_string_opt node, int_of_string_opt subrun) with
-      | Some node, Some subrun when node >= 0 && subrun >= 0 ->
-          Ok (Net.Node_id.of_int node, subrun)
-      | _ -> Error (`Msg "crash must be <node>@<subrun>"))
-  | _ -> Error (`Msg "crash must be <node>@<subrun>")
-
-let crash_conv =
+(* [<node>@<time>], both non-negative; [usage] is the error message. *)
+let at_conv ~usage =
+  let parse s =
+    match List.map int_of_string_opt (String.split_on_char '@' s) with
+    | [ Some node; Some at ] when node >= 0 && at >= 0 -> Ok (node, at)
+    | _ -> Error (`Msg usage)
+  in
   Cmdliner.Arg.conv
-    ( parse_crash,
-      fun ppf (node, subrun) ->
-        Format.fprintf ppf "%d@%d" (Net.Node_id.to_int node) subrun )
+    (parse, fun ppf (node, at) -> Format.fprintf ppf "%d@%d" node at)
+
+let crash_conv = at_conv ~usage:"crash must be <node>@<subrun>"
 
 open Cmdliner
 
-let n_arg =
-  Arg.(value & opt int 15 & info [ "n"; "group-size" ] ~doc:"Group cardinality.")
+let group_size_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "n"; "group-size" ] ~doc:"Group cardinality.")
 
-let k_arg =
-  Arg.(value & opt int 3 & info [ "K"; "retries" ] ~doc:"Crash-detection retries K.")
+let retries_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "K"; "retries" ] ~doc:"Crash-detection retries K.")
+
+let n_arg = group_size_arg 15
+let k_arg = retries_arg 3
+
+let out_file_arg doc =
+  Arg.(value & opt (some string) None & info [ "out" ] ~doc ~docv:"FILE")
 
 let rate_arg =
   Arg.(
@@ -97,10 +104,21 @@ let profile_arg =
            byte-identical with and without profiling."
         ~docv:"FILE")
 
-let write_file_raw path contents =
+let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
+
+(* A JSON report goes to [out], and the human summary to standard output;
+   or the report to standard output, and the summary to standard error. *)
+let output_report out json pp_summary =
+  match out with
+  | Some path ->
+      write_file path (json ^ "\n");
+      Format.printf "%t@." pp_summary
+  | None ->
+      print_endline json;
+      Format.eprintf "%t@." pp_summary
 
 let profile_enable = function None -> () | Some _ -> Sim.Prof.enable ()
 
@@ -110,9 +128,9 @@ let profile_finish = function
   | None -> ()
   | Some path ->
       let report = Sim.Prof.capture () in
-      write_file_raw path (Sim.Prof.report_json report);
-      write_file_raw (path ^ ".structural") (Sim.Prof.structural_json report);
-      write_file_raw (path ^ ".folded") (Sim.Prof.folded report);
+      write_file path (Sim.Prof.report_json report);
+      write_file (path ^ ".structural") (Sim.Prof.structural_json report);
+      write_file (path ^ ".folded") (Sim.Prof.folded report);
       Format.eprintf "%a@." Sim.Prof.pp_summary report
 
 (* Spec validation failures (negative budget, silenced >= n, rate outside
@@ -125,66 +143,60 @@ let cli_guard f =
       Format.eprintf "urcgc_sim: %s@." msg;
       2
 
-let cli_scenario ~name n k rate messages omission crashes flow seed codec
-    max_rtd =
-  let flow_threshold = if flow then Some (Some (8 * n)) else None in
-  let config = Urcgc.Config.make ~k ?flow_threshold ~n () in
-  let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let fault =
-    let base =
-      match omission with
-      | Some every -> Net.Fault.omission_every every
-      | None -> Net.Fault.reliable
-    in
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      base
+let fault_spec omission crashes =
+  let base =
+    match omission with
+    | Some every -> Net.Fault.omission_every every
+    | None -> Net.Fault.reliable
   in
-  Workload.Scenario.make ~name ~fault ~codec_boundary:codec ~seed ~max_rtd
-    ~config ~load ()
+  Net.Fault.with_crashes
+    (List.map
+       (fun (node, subrun) ->
+         ( Net.Node_id.of_int node,
+           Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1) ))
+       crashes)
+    base
 
-let run_scenario n k rate messages omission crashes flow seed trace codec
-    max_rtd =
-  cli_guard @@ fun () ->
-  let scenario =
-    cli_scenario ~name:"cli" n k rate messages omission crashes flow seed codec
-      max_rtd
+(* The urcgc scenario flags, as a thunk: building the scenario may raise
+   Invalid_argument, which [cli_guard] turns into exit 2. *)
+let scenario_term ~name =
+  let build n k rate messages omission crashes flow seed codec max_rtd () =
+    let flow_threshold = if flow then Some (Some (8 * n)) else None in
+    let config = Urcgc.Config.make ~k ?flow_threshold ~n () in
+    let load = Workload.Load.make ~rate ~total_messages:messages () in
+    let fault = fault_spec omission crashes in
+    Workload.Scenario.make ~name ~fault ~codec_boundary:codec ~seed ~max_rtd
+      ~config ~load ()
   in
-  let tracer = if trace then Sim.Tracer.create () else Sim.Tracer.null in
+  Term.(
+    const build $ n_arg $ k_arg $ rate_arg $ messages_arg $ omission_arg
+    $ crash_arg $ flow_arg $ seed_arg $ codec_arg $ max_rtd_arg)
+
+let print_trace tracer =
+  Sim.Trace.iter tracer ~f:(Format.printf "%a@." Sim.Trace.pp_record)
+
+let run_scenario scenario trace =
+  cli_guard @@ fun () ->
+  let scenario = scenario () in
+  let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
   let report = Workload.Runner.run ~tracer scenario in
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
+  print_trace tracer;
   Format.printf "%a@." Workload.Runner.pp_report report;
   if Workload.Checker.ok report.Workload.Runner.verdict then 0 else 1
 
 let run_cmd =
-  let term =
-    Term.(
-      const run_scenario $ n_arg $ k_arg $ rate_arg $ messages_arg
-      $ omission_arg $ crash_arg $ flow_arg $ seed_arg $ trace_arg $ codec_arg
-      $ max_rtd_arg)
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run a urcgc scenario and print its report.") term
+  Cmd.v
+    (Cmd.info "run" ~doc:"Run a urcgc scenario and print its report.")
+    Term.(const run_scenario $ scenario_term ~name:"cli" $ trace_arg)
 
 (* ---- trace: typed JSONL export ---------------------------------------- *)
 
 let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ]
-        ~doc:"Write the JSONL trace to $(docv) instead of standard output."
-        ~docv:"FILE")
+  out_file_arg "Write the JSONL trace to $(docv) instead of standard output."
 
-let run_trace n k rate messages omission crashes flow seed codec max_rtd
-    metrics profile out =
+let run_trace scenario metrics profile out =
   cli_guard @@ fun () ->
-  let scenario =
-    cli_scenario ~name:"trace" n k rate messages omission crashes flow seed
-      codec max_rtd
-  in
+  let scenario = scenario () in
   let trace = Sim.Trace.unbounded () in
   let registry = if metrics then Sim.Metrics.create () else Sim.Metrics.null in
   profile_enable profile;
@@ -207,9 +219,8 @@ let run_trace n k rate messages omission crashes flow seed codec max_rtd
 let trace_cmd =
   let term =
     Term.(
-      const run_trace $ n_arg $ k_arg $ rate_arg $ messages_arg $ omission_arg
-      $ crash_arg $ flow_arg $ seed_arg $ codec_arg $ max_rtd_arg $ metrics_arg
-      $ profile_arg $ trace_out_arg)
+      const run_trace $ scenario_term ~name:"trace" $ metrics_arg $ profile_arg
+      $ trace_out_arg)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -232,12 +243,6 @@ let read_lines path =
         List.rev acc
   in
   go []
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
 
 let analyze_file_arg =
   Arg.(
@@ -271,26 +276,19 @@ let run_analyze file out perfetto =
           let analysis = Sim.Analysis.analyze ?metrics_json records in
           let report = Sim.Analysis.report_json analysis in
           (match out with
-          | Some path -> write_file path report
-          | None ->
-              print_string report;
-              print_newline ());
-          (match perfetto with
-          | Some path -> write_file path (Sim.Analysis.perfetto_json records)
-          | None -> ());
+          | Some path -> write_file path (report ^ "\n")
+          | None -> print_endline report);
+          Option.iter
+            (fun path ->
+              write_file path (Sim.Analysis.perfetto_json records ^ "\n"))
+            perfetto;
           Format.eprintf "%a@." Sim.Analysis.pp_summary analysis;
           if Sim.Analysis.verdict_ok analysis.Sim.Analysis.verdict then 0
           else 1)
 
 let analyze_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ]
-        ~doc:
-          "Write the JSON analysis report to $(docv) instead of standard \
-           output."
-        ~docv:"FILE")
+  out_file_arg
+    "Write the JSON analysis report to $(docv) instead of standard output."
 
 let analyze_cmd =
   let term =
@@ -308,132 +306,55 @@ let analyze_cmd =
           malformed input.")
     term
 
-let run_cbcast n k rate messages crashes seed trace max_rtd =
+(* ---- baselines: CBCAST, Psync and urgc on the same scenario shape ---- *)
+
+(* [run] returns the report printer and whether the protocol's own
+   correctness clauses held. *)
+let run_baseline run n k rate messages omission crashes seed trace max_rtd =
   cli_guard @@ fun () ->
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let fault =
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      Net.Fault.reliable
-  in
-  let tracer = if trace then Sim.Tracer.create () else Sim.Tracer.null in
-  let report =
-    Workload.Runner_cbcast.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
-  in
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
-  Format.printf "%a@." Workload.Runner_cbcast.pp_report report;
-  if
-    report.Workload.Runner_cbcast.causal_ok
-    && report.Workload.Runner_cbcast.atomicity_ok
-  then 0
-  else 1
-
-let cbcast_cmd =
-  let term =
-    Term.(
-      const run_cbcast $ n_arg $ k_arg $ rate_arg $ messages_arg $ crash_arg
-      $ seed_arg $ trace_arg $ max_rtd_arg)
-  in
-  Cmd.v
-    (Cmd.info "cbcast" ~doc:"Run the CBCAST baseline on the same scenario shape.")
-    term
-
-let run_psync n k rate messages omission crashes seed trace max_rtd =
-  cli_guard @@ fun () ->
-  let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let fault =
-    let base =
-      match omission with
-      | Some every -> Net.Fault.omission_every every
-      | None -> Net.Fault.reliable
-    in
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      base
-  in
-  let tracer = if trace then Sim.Tracer.create () else Sim.Tracer.null in
-  let report =
-    Workload.Runner_psync.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
-  in
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
-  Format.printf "%a@." Workload.Runner_psync.pp_report report;
-  if report.Workload.Runner_psync.causal_ok then 0 else 1
-
-let psync_cmd =
-  let term =
-    Term.(
-      const run_psync $ n_arg $ k_arg $ rate_arg $ messages_arg $ omission_arg
-      $ crash_arg $ seed_arg $ trace_arg $ max_rtd_arg)
-  in
-  Cmd.v
-    (Cmd.info "psync" ~doc:"Run the Psync baseline on the same scenario shape.")
-    term
-
-let run_urgc n k rate messages omission crashes seed max_rtd =
-  cli_guard @@ fun () ->
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let fault_spec =
-    let base =
-      match omission with
-      | Some every -> Net.Fault.omission_every every
-      | None -> Net.Fault.reliable
-    in
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      base
-  in
-  let fault = Net.Fault.create fault_spec ~rng:(Sim.Rng.split rng) in
-  let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
-  let cluster = Urgc.Cluster.create ~n ~k ~net () in
-  let produced = ref 0 in
-  Urgc.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if !produced < messages && Sim.Rng.bool rng rate then begin
-            incr produced;
-            Urgc.Cluster.submit cluster node !produced
-          end)
-        (Net.Node_id.group n));
-  Urgc.Cluster.start cluster;
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.to_rtd now >= max_rtd then ()
-    else begin
-      Sim.Engine.run engine ~until:(Sim.Ticks.add now rtd);
-      if !produced >= messages && Urgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
-  in
-  advance ();
-  let ok = Urgc.Cluster.total_order_ok cluster in
-  Format.printf
-    "urgc: generated=%d processed events=%d over %d subruns; total order: %b@."
-    (List.length (Urgc.Cluster.generations cluster))
-    (List.length (Urgc.Cluster.deliveries cluster))
-    (Urgc.Cluster.subrun cluster) ok;
+  let fault = fault_spec omission crashes in
+  let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
+  let pp_report, ok = run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd in
+  print_trace tracer;
+  Format.printf "%t@." pp_report;
   if ok then 0 else 1
 
-let urgc_cmd =
-  let term =
+let baseline_cmd name ~doc ~omission ~trace run =
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run_urgc $ n_arg $ k_arg $ rate_arg $ messages_arg $ omission_arg
-      $ crash_arg $ seed_arg $ max_rtd_arg)
-  in
-  Cmd.v
-    (Cmd.info "urgc"
-       ~doc:"Run the total-order companion algorithm on the same scenario shape.")
-    term
+      const (run_baseline run)
+      $ n_arg $ k_arg $ rate_arg $ messages_arg $ omission $ crash_arg
+      $ seed_arg $ trace $ max_rtd_arg)
+
+let cbcast_cmd =
+  baseline_cmd "cbcast" ~omission:(Term.const None) ~trace:trace_arg
+    ~doc:"Run the CBCAST baseline on the same scenario shape."
+    (fun ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ->
+      let r =
+        Workload.Runner_cbcast.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
+      in
+      ( (fun ppf -> Workload.Runner_cbcast.pp_report ppf r),
+        r.causal_ok && r.atomicity_ok ))
+
+let psync_cmd =
+  baseline_cmd "psync" ~omission:omission_arg ~trace:trace_arg
+    ~doc:"Run the Psync baseline on the same scenario shape."
+    (fun ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ->
+      let r =
+        Workload.Runner_psync.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
+      in
+      ((fun ppf -> Workload.Runner_psync.pp_report ppf r), r.causal_ok))
+
+let urgc_cmd =
+  baseline_cmd "urgc" ~omission:omission_arg ~trace:(Term.const false)
+    ~doc:"Run the total-order companion algorithm on the same scenario shape."
+    (fun ~tracer:_ ~n ~k ~load ~fault ~seed ~max_rtd ->
+      let r =
+        Workload.Runner_urgc.report
+          (Workload.Runner_urgc.simulate ~n ~k ~load ~fault ~seed ~max_rtd ())
+      in
+      ((fun ppf -> Workload.Runner_urgc.pp_report ppf r), r.total_order_ok))
 
 (* ---- campaign: randomized fault sweep with shrinking ------------------ *)
 
@@ -459,14 +380,9 @@ let no_shrink_arg =
     & info [ "no-shrink" ] ~doc:"Skip minimizing failing runs.")
 
 let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ]
-        ~doc:
-          "Write the JSON report to $(docv) instead of standard output (the \
-           human summary then goes to standard output instead of stderr)."
-        ~docv:"FILE")
+  out_file_arg
+    "Write the JSON report to $(docv) instead of standard output (the human \
+     summary then goes to standard output instead of stderr)."
 
 let jobs_arg =
   Arg.(
@@ -508,18 +424,8 @@ let run_campaign budget seed over_budget no_shrink with_metrics with_analysis
     Sim.Pool.record_metrics pool_registry;
     Format.eprintf "@[<v 2>pool:@ %a@]@." Sim.Metrics.pp pool_registry
   end;
-  let json = Workload.Campaign.to_json campaign in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "%a@." Workload.Campaign.pp_summary campaign
-  | None ->
-      print_string json;
-      print_newline ();
-      Format.eprintf "%a@." Workload.Campaign.pp_summary campaign);
+  output_report out (Workload.Campaign.to_json campaign) (fun ppf ->
+      Workload.Campaign.pp_summary ppf campaign);
   let disagreements =
     List.filter
       (fun r -> r.Workload.Campaign.oracle_agrees = Some false)
@@ -598,10 +504,7 @@ let run_replay n k rate messages send_omission recv_omission link_loss
       recv_omission;
       link_loss;
       silenced_per_subrun = silenced;
-      crashes =
-        List.map
-          (fun (node, subrun) -> (Net.Node_id.to_int node, subrun))
-          crashes;
+      crashes;
       max_rtd;
     }
   in
@@ -609,8 +512,8 @@ let run_replay n k rate messages send_omission recv_omission link_loss
      default ring to an unbounded sink. *)
   let tracer =
     if analyze then Sim.Trace.unbounded ()
-    else if trace then Sim.Tracer.create ()
-    else Sim.Tracer.null
+    else if trace then Sim.Trace.create ()
+    else Sim.Trace.null
   in
   let registry = if metrics then Sim.Metrics.create () else Sim.Metrics.null in
   let scenario =
@@ -619,7 +522,7 @@ let run_replay n k rate messages send_omission recv_omission link_loss
   profile_enable profile;
   let report = Workload.Runner.run ~tracer ~metrics:registry scenario in
   profile_finish profile;
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
+  if trace then print_trace tracer;
   let outcome = Workload.Campaign.evaluate spec report in
   Format.printf "%a@." Workload.Runner.pp_report report;
   Format.printf "spec: %a@." Workload.Campaign.pp_spec spec;
@@ -667,13 +570,6 @@ let replay_cmd =
 
 (* ---- explore: bounded schedule exploration ---------------------------- *)
 
-let explore_n_arg =
-  Arg.(
-    value & opt int 3 & info [ "n"; "group-size" ] ~doc:"Group cardinality.")
-
-let explore_k_arg =
-  Arg.(
-    value & opt int 2 & info [ "K"; "retries" ] ~doc:"Crash-detection retries K.")
 
 let explore_messages_arg =
   Arg.(
@@ -711,18 +607,7 @@ let crash_choices_arg =
           "Enumerate one optional fail-stop of any node before any round of \
            the window.")
 
-let parse_fixed_crash s =
-  match String.split_on_char '@' s with
-  | [ node; round ] -> (
-      match (int_of_string_opt node, int_of_string_opt round) with
-      | Some node, Some round when node >= 0 && round >= 0 -> Ok (node, round)
-      | _ -> Error (`Msg "fixed crash must be <node>@<round>"))
-  | _ -> Error (`Msg "fixed crash must be <node>@<round>")
-
-let fixed_crash_conv =
-  Arg.conv
-    ( parse_fixed_crash,
-      fun ppf (node, round) -> Format.fprintf ppf "%d@%d" node round )
+let fixed_crash_conv = at_conv ~usage:"fixed crash must be <node>@<round>"
 
 let fixed_crash_arg =
   Arg.(
@@ -807,25 +692,14 @@ let replay_schedule_arg =
            labelled decision log and the verdict."
         ~docv:"CSV")
 
-let out_arg_explore =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~doc:"Write the JSON report to $(docv)." ~docv:"FILE")
-
-let explore_config n k messages window horizon crash_choices fixed_crashes
-    omission_choices silenced silence_mode no_oracle =
-  Workload.Explore.config ~k ?messages ~window_subruns:window
-    ?horizon_subruns:horizon ~crash_choices ~fixed_crashes ~omission_choices
-    ~silenced ~silence_mode ~with_oracle:(not no_oracle) ~n ()
-
 let run_explore n k messages window horizon crash_choices fixed_crashes
     omission_choices silenced silence_mode max_schedules no_prune no_oracle
     replay_schedule profile out =
   cli_guard @@ fun () ->
   let config =
-    explore_config n k messages window horizon crash_choices fixed_crashes
-      omission_choices silenced silence_mode no_oracle
+    Workload.Explore.config ~k ?messages ~window_subruns:window
+      ?horizon_subruns:horizon ~crash_choices ~fixed_crashes ~omission_choices
+      ~silenced ~silence_mode ~with_oracle:(not no_oracle) ~n ()
   in
   match replay_schedule with
   | Some csv ->
@@ -873,28 +747,19 @@ let run_explore n k messages window horizon crash_choices fixed_crashes
         Workload.Explore.explore ~prune:(not no_prune) ~max_schedules config
       in
       profile_finish profile;
-      let json = Workload.Explore.to_json report in
-      (match out with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc json;
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "%a@." Workload.Explore.pp_report report
-      | None ->
-          print_string json;
-          print_newline ();
-          Format.eprintf "%a@." Workload.Explore.pp_report report);
+      output_report out (Workload.Explore.to_json report) (fun ppf ->
+          Workload.Explore.pp_report ppf report);
       if Workload.Explore.ok report then 0 else 1
 
 let explore_cmd =
   let term =
     Term.(
-      const run_explore $ explore_n_arg $ explore_k_arg $ explore_messages_arg
+      const run_explore $ group_size_arg 3 $ retries_arg 2 $ explore_messages_arg
       $ window_arg $ horizon_arg $ crash_choices_arg $ fixed_crash_arg
       $ omission_choices_arg $ explore_silenced_arg $ silence_mode_arg
       $ max_schedules_arg $ no_prune_arg $ no_oracle_arg $ replay_schedule_arg
-      $ profile_arg $ out_arg_explore)
+      $ profile_arg
+      $ out_file_arg "Write the JSON report to $(docv).")
   in
   Cmd.v
     (Cmd.info "explore"

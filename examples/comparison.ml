@@ -41,7 +41,7 @@ let cbcast_row ~fault label =
       ~seed:42 ~max_rtd:300.0 ()
   in
   ( label,
-    Workload.Runner_cbcast.mean_delay_rtd r,
+    Workload.Harness.mean_delay_rtd r.Workload.Runner_cbcast.delay,
     r.Workload.Runner_cbcast.delay.Stats.Summary.p95,
     r.Workload.Runner_cbcast.completion_rtd,
     Printf.sprintf "%d ctl msgs, max %dB; %.1f rtd flushing"
@@ -57,7 +57,7 @@ let psync_row ~fault label =
       ~load:(load ()) ~fault ~seed:42 ~max_rtd:300.0 ()
   in
   ( label,
-    Workload.Runner_psync.mean_delay_rtd r,
+    Workload.Harness.mean_delay_rtd r.Workload.Runner_psync.delay,
     r.Workload.Runner_psync.delay.Stats.Summary.p95,
     r.Workload.Runner_psync.completion_rtd,
     Printf.sprintf "%d ctl msgs; %d mask_out observations"

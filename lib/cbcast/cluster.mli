@@ -22,7 +22,7 @@ type view_change = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   n:int ->
   k:int ->
   engine:Sim.Engine.t ->
@@ -31,14 +31,9 @@ val create :
   unit ->
   'a t
 
-val start : 'a t -> unit
+include Net.Cluster.S with type 'a t := 'a t and type 'a member := 'a Member.t
 
 val submit : ?size:int -> 'a t -> Net.Node_id.t -> 'a -> unit
-
-val member : 'a t -> Net.Node_id.t -> 'a Member.t
-val members : 'a t -> 'a Member.t list
-
-val on_round : 'a t -> (round:int -> unit) -> unit
 
 val deliveries : 'a t -> 'a delivery list
 val generations : 'a t -> (Net.Node_id.t * int * Sim.Ticks.t) list
@@ -49,10 +44,3 @@ val flush_starts : 'a t -> (Net.Node_id.t * int * Sim.Ticks.t) list
 
 val traffic : 'a t -> Net.Traffic.t
 
-val subrun : 'a t -> int
-
-val active_members : 'a t -> Net.Node_id.t list
-
-val quiescent : 'a t -> bool
-(** No SAP backlog or buffered messages at any active member, no flush in
-    progress, and all active members agree on the delivered vector. *)

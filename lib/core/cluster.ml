@@ -32,15 +32,11 @@ type departure = {
 type 'a t = {
   config : Config.t;
   medium : 'a Medium.t;
-  tracer : Sim.Tracer.t;
-  members : 'a Member.t array;
+  core : 'a Member.t Net.Cluster.t;
   (* One action sink per member, built once at creation: members stream
      their actions straight into the cluster's effects (sends, records,
      trace) with no per-round action lists. *)
   mutable sinks : 'a Member.sink array;
-  mutable round : int;
-  mutable started : bool;
-  mutable round_callbacks : (round:int -> unit) list;
   mutable extra_broadcast_targets : Net.Node_id.t list;
   mutable delivery_callbacks : ('a delivery -> unit) list;
   mutable confirm_callbacks : (Net.Node_id.t -> Causal.Mid.t -> unit) list;
@@ -51,8 +47,7 @@ type 'a t = {
   mutable discards : (Net.Node_id.t * Causal.Mid.t list * Sim.Ticks.t) list;
 }
 
-let engine t = Medium.engine t.medium
-let now t = Sim.Engine.now (engine t)
+let now t = Net.Cluster.now t.core
 
 (* -- typed trace emit points ------------------------------------------- *)
 
@@ -97,9 +92,9 @@ let trace_pdu (body : _ Wire.body) =
           count = List.length messages;
         }
 
-let emit t event = Sim.Trace.emit t.tracer ~time:(now t) event
+let emit t event = Net.Cluster.emit t.core event
 
-let tracing t = Sim.Trace.enabled t.tracer
+let tracing t = Sim.Trace.enabled (Net.Cluster.tracer t.core)
 
 (* The destination set of a broadcast by [member]: every other process
    alive in its local view (ids ascending), plus the extra targets, as an
@@ -232,11 +227,8 @@ let sink_of t member =
 
 let sink t member = t.sinks.(Net.Node_id.to_int (Member.id member))
 
-let crashed t node =
-  Net.Fault.crashed (Medium.fault t.medium) ~now:(now t) node
-
 let on_body t member body =
-  if not (crashed t (Member.id member)) then begin
+  if not (Net.Cluster.crashed t.core (Member.id member)) then begin
     if tracing t then
       emit t
         (Sim.Trace.Receive
@@ -244,7 +236,7 @@ let on_body t member body =
     Member.handle_into member (sink t member) body
   end
 
-let create_with_medium ?(tracer = Sim.Tracer.null) ~config ~medium () =
+let create_with_medium ?(tracer = Sim.Trace.null) ~config ~medium () =
   let initial_decision = Decision.initial ~n:config.Config.n in
   let members =
     Array.init config.Config.n (fun i ->
@@ -254,12 +246,10 @@ let create_with_medium ?(tracer = Sim.Tracer.null) ~config ~medium () =
     {
       config;
       medium;
-      tracer;
-      members;
+      core =
+        Net.Cluster.create ~tracer ~engine:(Medium.engine medium)
+          ~fault:(Medium.fault medium) ~active:Member.active members;
       sinks = [||];
-      round = 0;
-      started = false;
-      round_callbacks = [];
       extra_broadcast_targets = [];
       delivery_callbacks = [];
       confirm_callbacks = [];
@@ -282,65 +272,44 @@ let create ?tracer ~config ~net () =
 
 let medium t = t.medium
 
-let run_round t =
-  let round = t.round in
-  let subrun = round / 2 in
-  if round mod 2 = 0 && tracing t then begin
-    (* Coordinator rotation is a function of the (shared, eventually
-       consistent) alive view; narrate it from the first active member's
-       perspective once per subrun. *)
-    let first_active =
-      Array.to_list t.members
-      |> List.find_opt (fun member ->
-             Member.active member && not (crashed t (Member.id member)))
-    in
-    match first_active with
-    | None -> ()
-    | Some member ->
+(* Coordinator rotation is a function of the (shared, eventually
+   consistent) alive view; narrate it from the first active member's
+   perspective once per subrun. *)
+let narrate_rotation t ~round =
+  if round mod 2 = 0 && tracing t then
+    match Net.Cluster.active_members t.core with
+    | [] -> ()
+    | node :: _ ->
+        let subrun = round / 2 in
+        let view = Member.view (Net.Cluster.member t.core node) in
         let coordinator =
-          Coordinator.rotation
-            ~alive:(Causal.Group_view.alive_array (Member.view member))
+          Coordinator.rotation ~alive:(Causal.Group_view.alive_array view)
             ~subrun
         in
         emit t
           (Sim.Trace.Rotate
              { subrun; coordinator = Net.Node_id.to_int coordinator })
-  end;
-  Array.iter
-    (fun member ->
-      if not (crashed t (Member.id member)) then
+
+let start t =
+  Net.Cluster.start t.core ~step:(fun ~round ->
+      narrate_rotation t ~round;
+      let subrun = round / 2 in
+      fun member ->
         if round mod 2 = 0 then
           Member.begin_subrun_into member (sink t member) ~subrun
         else Member.mid_subrun_into member (sink t member) ~subrun)
-    t.members;
-  t.round <- round + 1;
-  List.iter (fun callback -> callback ~round) (List.rev t.round_callbacks)
 
-let start t =
-  if t.started then invalid_arg "Cluster.start: already started";
-  t.started <- true;
-  let engine = engine t in
-  let rec tick () =
-    run_round t;
-    ignore
-      (Sim.Engine.schedule_after ~label:"cluster.round" engine
-         ~delay:Sim.Ticks.round tick)
-  in
-  ignore
-    (Sim.Engine.schedule_after ~label:"cluster.round" engine
-       ~delay:Sim.Ticks.zero tick)
-
+let core t = t.core
 let config t = t.config
-let member t node = t.members.(Net.Node_id.to_int node)
-let members t = Array.to_list t.members
+let member t node = Net.Cluster.member t.core node
+let members t = Net.Cluster.members t.core
 
 let submit ?deps ?size t node payload =
   Member.submit ?deps ?size (member t node) payload
 
-let round t = t.round
-let subrun t = t.round / 2
-
-let on_round t callback = t.round_callbacks <- callback :: t.round_callbacks
+let round t = Net.Cluster.round t.core
+let subrun t = Net.Cluster.subrun t.core
+let on_round t callback = Net.Cluster.on_round t.core callback
 
 let on_delivery t callback =
   t.delivery_callbacks <- callback :: t.delivery_callbacks
@@ -375,37 +344,21 @@ let generations t = List.rev t.generations
 let departures t = List.rev t.departures
 let discards t = List.rev t.discards
 
-let active_members t =
-  Array.to_list t.members
-  |> List.filter_map (fun member ->
-         let node = Member.id member in
-         if Member.active member && not (crashed t node) then Some node
-         else None)
+let active_members t = Net.Cluster.active_members t.core
 
 let quiescent t =
-  let actives =
-    Array.to_list t.members
-    |> List.filter (fun member ->
-           Member.active member && not (crashed t (Member.id member)))
+  let vector member =
+    List.init t.config.Config.n (fun j ->
+        Member.last_processed member (Net.Node_id.of_int j))
   in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      let vector member =
-        List.init t.config.Config.n (fun j ->
-            Member.last_processed member (Net.Node_id.of_int j))
-      in
-      let idle member =
-        Member.sap_backlog member = 0
-        && Member.waiting_length member = 0
-        && not (Member.flow_blocked member)
-      in
-      List.for_all idle actives
-      && List.for_all (fun member -> vector member = vector first) rest
+  Net.Cluster.quiescent t.core
+    ~idle:(fun member ->
+      Member.sap_backlog member = 0
+      && Member.waiting_length member = 0
+      && not (Member.flow_blocked member))
+    ~agree:(fun first member ->
+      vector member = vector first
       (* A process declared crashed but not yet aware of it is a zombie: the
          group no longer addresses it, and it will only leave after its
          decision-silence timeout.  The run is not settled until then. *)
-      && List.for_all
-           (fun member ->
-             Causal.Group_view.equal (Member.view member) (Member.view first))
-           rest
+      && Causal.Group_view.equal (Member.view member) (Member.view first))

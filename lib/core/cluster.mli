@@ -1,10 +1,10 @@
 (** A group of urcgc processes bound to the simulator and the network.
 
-    The cluster schedules the global round clock (two rounds per subrun, one
-    subrun per rtd), feeds each member its round hooks and incoming PDUs,
-    executes the resulting actions, and records everything an experiment
-    needs: processing events with timestamps, confirmations, discards and
-    departures. *)
+    The round clock, crash gate and quiescence shape come from the shared
+    {!Net.Cluster} skeleton.  This module feeds each member its round hooks
+    and incoming PDUs, executes the resulting actions, and records
+    everything an experiment needs: processing events with timestamps,
+    confirmations, discards and departures. *)
 
 type 'a delivery = {
   node : Net.Node_id.t;  (** where the message was processed *)
@@ -27,7 +27,7 @@ type departure = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   config:Config.t ->
   net:'a Wire.body Net.Netsim.t ->
   unit ->
@@ -38,20 +38,15 @@ val create :
     ids. *)
 
 val create_with_medium :
-  ?tracer:Sim.Tracer.t -> config:Config.t -> medium:'a Medium.t -> unit -> 'a t
+  ?tracer:Sim.Trace.t -> config:Config.t -> medium:'a Medium.t -> unit -> 'a t
 (** Same, over an arbitrary {!Medium} — in particular the Section 5
     transport entity with [h > 1] ({!Medium.of_transport}). *)
 
 val medium : 'a t -> 'a Medium.t
 
-val start : 'a t -> unit
-(** Starts the round clock at the engine's current time.  Rounds are
-    scheduled lazily, so the simulation ends when [Engine.run ~until] says
-    so. *)
+include Net.Cluster.S with type 'a t := 'a t and type 'a member := 'a Member.t
 
 val config : 'a t -> Config.t
-val member : 'a t -> Net.Node_id.t -> 'a Member.t
-val members : 'a t -> 'a Member.t list
 
 val submit :
   ?deps:Causal.Mid.t list -> ?size:int -> 'a t -> Net.Node_id.t -> 'a -> unit
@@ -59,13 +54,6 @@ val submit :
 
 val round : 'a t -> int
 (** Rounds completed so far. *)
-
-val subrun : 'a t -> int
-
-val on_round : 'a t -> (round:int -> unit) -> unit
-(** Registers a callback fired after every completed round — used by
-    experiments to sample history lengths etc.  Callbacks run in
-    registration order. *)
 
 val on_delivery : 'a t -> ('a delivery -> unit) -> unit
 (** Fired at every processing event, as it happens. *)
@@ -90,10 +78,3 @@ val departures : 'a t -> departure list
 
 val discards : 'a t -> (Net.Node_id.t * Causal.Mid.t list * Sim.Ticks.t) list
 
-val active_members : 'a t -> Net.Node_id.t list
-(** Members that have not crashed (per fault injection) and not left. *)
-
-val quiescent : 'a t -> bool
-(** All active members have empty SAP backlogs and waiting lists and agree on
-    a common [last_processed] vector — nothing further will be processed if
-    no new messages are submitted. *)

@@ -5,32 +5,15 @@ type 'a delivery = {
 }
 
 type 'a t = {
-  n : int;
   net : 'a Wire.body Net.Netsim.t;
-  tracer : Sim.Tracer.t;
-  members : 'a Member.t array;
-  mutable round : int;
-  mutable started : bool;
-  mutable round_callbacks : (round:int -> unit) list;
+  core : 'a Member.t Net.Cluster.t;
   mutable deliveries : 'a delivery list;
   mutable generations : (Context_graph.mid * Sim.Ticks.t) list;
   mutable masked : (Net.Node_id.t * Net.Node_id.t * Sim.Ticks.t) list;
   mutable dropped : int;
 }
 
-let engine t = Net.Netsim.engine t.net
-let now t = Sim.Engine.now (engine t)
-let crashed t node = Net.Fault.crashed (Net.Netsim.fault t.net) ~now:(now t) node
-
-let dsts_of t member =
-  let self = Member.id member in
-  let participants = Member.participants member in
-  let dsts = ref [] in
-  for i = t.n - 1 downto 0 do
-    if participants.(i) && i <> Net.Node_id.to_int self then
-      dsts := Net.Node_id.of_int i :: !dsts
-  done;
-  !dsts
+let now t = Net.Cluster.now t.core
 
 let execute t member action =
   let self = Member.id member in
@@ -42,7 +25,8 @@ let execute t member action =
       | Wire.Retrans_req _ | Wire.Retrans_reply _ | Wire.Keepalive
       | Wire.Mask_out _ | Wire.Mask_ack _ | Wire.Mask_done _ ->
           ());
-      Net.Netsim.multicast t.net ~src:self ~dsts:(dsts_of t member)
+      Net.Netsim.multicast t.net ~src:self
+        ~dsts:(Net.Cluster.peers ~self (Member.participants member))
         ~kind:(Wire.kind body) ~size:(Wire.body_size body) body
   | Member.Unicast (dst, body) ->
       Net.Netsim.send t.net ~src:self ~dst ~kind:(Wire.kind body)
@@ -51,100 +35,53 @@ let execute t member action =
       t.deliveries <- { node = self; msg; at = now t } :: t.deliveries
   | Member.Masked target ->
       t.masked <- (self, target, now t) :: t.masked;
-      Sim.Tracer.emitf t.tracer ~time:(now t)
-        ~source:(Format.asprintf "%a" Net.Node_id.pp self)
-        "masked out %a" Net.Node_id.pp target
+      Net.Cluster.note t.core self "masked out %a" Net.Node_id.pp target
   | Member.Dropped mids -> t.dropped <- t.dropped + List.length mids
 
-let execute_all t member actions = List.iter (execute t member) actions
-
-let create ?(tracer = Sim.Tracer.null) ?pending_bound ~n ~k ~net () =
+let create ?(tracer = Sim.Trace.null) ?pending_bound ~n ~k ~net () =
   let members =
     Array.init n (fun i -> Member.create ?pending_bound ~n ~k (Net.Node_id.of_int i))
   in
+  let core =
+    Net.Cluster.create ~tracer ~engine:(Net.Netsim.engine net)
+      ~fault:(Net.Netsim.fault net) ~active:Member.active members
+  in
   let t =
-    {
-      n;
-      net;
-      tracer;
-      members;
-      round = 0;
-      started = false;
-      round_callbacks = [];
-      deliveries = [];
-      generations = [];
-      masked = [];
-      dropped = 0;
-    }
+    { net; core; deliveries = []; generations = []; masked = []; dropped = 0 }
   in
   Array.iter
     (fun member ->
-      Net.Netsim.attach net (Member.id member)
-        (fun (packet : _ Net.Netsim.packet) ->
-          if not (crashed t (Member.id member)) then
-            execute_all t member
-              (Member.handle member ~subrun:(t.round / 2) ~from:packet.src
-                 packet.payload)))
+      let node = Member.id member in
+      Net.Netsim.attach net node (fun (packet : _ Net.Netsim.packet) ->
+          if not (Net.Cluster.crashed core node) then
+            List.iter (execute t member)
+              (Member.handle member ~subrun:(Net.Cluster.subrun core)
+                 ~from:packet.src packet.payload)))
     members;
   t
 
-let run_round t =
-  let subrun = t.round / 2 in
-  Array.iter
-    (fun member ->
-      if not (crashed t (Member.id member)) then
-        execute_all t member (Member.on_round member ~subrun))
-    t.members;
-  t.round <- t.round + 1;
-  List.iter
-    (fun callback -> callback ~round:(t.round - 1))
-    (List.rev t.round_callbacks)
-
 let start t =
-  if t.started then invalid_arg "Cluster.start: already started";
-  t.started <- true;
-  let rec tick () =
-    run_round t;
-    ignore (Sim.Engine.schedule_after (engine t) ~delay:Sim.Ticks.round tick)
-  in
-  ignore (Sim.Engine.schedule_after (engine t) ~delay:Sim.Ticks.zero tick)
+  Net.Cluster.start t.core ~step:(fun ~round member ->
+      List.iter (execute t member) (Member.on_round member ~subrun:(round / 2)))
 
 let submit ?size t node payload =
-  Member.submit ?size t.members.(Net.Node_id.to_int node) payload
+  Member.submit ?size (Net.Cluster.member t.core node) payload
 
-let member t node = t.members.(Net.Node_id.to_int node)
-let members t = Array.to_list t.members
-
-let on_round t callback = t.round_callbacks <- callback :: t.round_callbacks
-
+let core t = t.core
+let member t node = Net.Cluster.member t.core node
+let members t = Net.Cluster.members t.core
+let on_round t callback = Net.Cluster.on_round t.core callback
 let deliveries t = List.rev t.deliveries
 let generations t = List.rev t.generations
 let masked t = List.rev t.masked
 let dropped t = t.dropped
-let subrun t = t.round / 2
-
-let active_members t =
-  Array.to_list t.members
-  |> List.filter_map (fun member ->
-         let node = Member.id member in
-         if Member.active member && not (crashed t node) then Some node
-         else None)
+let subrun t = Net.Cluster.subrun t.core
+let active_members t = Net.Cluster.active_members t.core
 
 let quiescent t =
-  let actives =
-    Array.to_list t.members
-    |> List.filter (fun member ->
-           Member.active member && not (crashed t (Member.id member)))
-  in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      List.for_all
-        (fun member ->
-          Member.sap_backlog member = 0
-          && Member.pending member = 0
-          && not (Member.masking member))
-        actives
-      && List.for_all
-           (fun member -> Member.attached member = Member.attached first)
-           rest
+  Net.Cluster.quiescent t.core
+    ~idle:(fun member ->
+      Member.sap_backlog member = 0
+      && Member.pending member = 0
+      && not (Member.masking member))
+    ~agree:(fun first member -> Member.attached member = Member.attached first)

@@ -13,7 +13,7 @@ type 'a delivery = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?pending_bound:int ->
   n:int ->
   k:int ->
@@ -21,14 +21,9 @@ val create :
   unit ->
   'a t
 
-val start : 'a t -> unit
+include Net.Cluster.S with type 'a t := 'a t and type 'a member := 'a Member.t
 
 val submit : ?size:int -> 'a t -> Net.Node_id.t -> 'a -> unit
-
-val member : 'a t -> Net.Node_id.t -> 'a Member.t
-val members : 'a t -> 'a Member.t list
-
-val on_round : 'a t -> (round:int -> unit) -> unit
 
 val deliveries : 'a t -> 'a delivery list
 val generations : 'a t -> (Context_graph.mid * Sim.Ticks.t) list
@@ -38,8 +33,3 @@ val masked : 'a t -> (Net.Node_id.t * Net.Node_id.t * Sim.Ticks.t) list
 val dropped : 'a t -> int
 (** Pending messages truncated by flow control, across all members. *)
 
-val subrun : 'a t -> int
-
-val active_members : 'a t -> Net.Node_id.t list
-
-val quiescent : 'a t -> bool

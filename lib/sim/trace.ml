@@ -97,7 +97,7 @@ let find t ~f =
 
 let iter t ~f = match t with Null -> () | Sink s -> Queue.iter f s.queue
 
-(* -- human rendering (the Tracer shim delegates here) -------------------- *)
+(* -- human rendering ------------------------------------------------------ *)
 
 let pp_pdu ppf = function
   | Data { origin; seq; deps; bytes } ->

@@ -1,8 +1,8 @@
 (** Typed protocol trace.
 
-    The simulator components emit structured {!event}s into a {!t} sink;
-    the string-oriented {!Tracer} API is a thin shim over this layer.  The
-    sim library sits below the protocol libraries, so events refer to nodes
+    The simulator components emit structured {!event}s into a {!t} sink —
+    the single emission point for protocol events and free-form narration
+    alike ({!event.Note}).  The sim library sits below the protocol libraries, so events refer to nodes
     by integer index and to messages by [(origin, seq)] pairs — exactly the
     representation the JSONL export uses.
 
@@ -63,7 +63,7 @@ type event =
   | Drop of { src : int; dst : int; kind : Traffic_class.t; stage : stage }
       (** fault injection: the subnetwork lost a packet *)
   | Note of { source : string; message : string }
-      (** free-form, emitted via the {!Tracer} compatibility shim *)
+      (** free-form narration (CBCAST view changes, Psync mask-outs) *)
 
 type record = { time : Ticks.t; event : event }
 
@@ -112,10 +112,12 @@ val event_source : event -> string
 (** Short component label ("n3", "net", "group", or the {!Note} source). *)
 
 val event_message : event -> string
-(** One-line human rendering (the {!Tracer} shim's message string). *)
+(** One-line human rendering. *)
 
 val pp_pdu : Format.formatter -> pdu -> unit
+
 val pp_record : Format.formatter -> record -> unit
+(** [[time] source message] — the [--trace] dump format. *)
 
 val json_of_record : record -> string
 (** One JSON object, no trailing newline.  Field order is fixed; see

@@ -1,5 +1,7 @@
 (** A urgc (total-order) group bound to the simulator — the mirror of
-    {!Urcgc.Cluster} for the companion algorithm. *)
+    {!Urcgc.Cluster} for the companion algorithm, on the same
+    {!Net.Cluster} round clock.  Departures are traced as
+    {!Sim.Trace.event.Left}. *)
 
 type 'a delivery = {
   node : Net.Node_id.t;
@@ -11,7 +13,7 @@ type 'a delivery = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?silence_limit:int ->
   n:int ->
   k:int ->
@@ -19,24 +21,12 @@ val create :
   unit ->
   'a t
 
-val start : 'a t -> unit
+include Net.Cluster.S with type 'a t := 'a t and type 'a member := 'a Member.t
 
 val submit : ?size:int -> 'a t -> Net.Node_id.t -> 'a -> unit
 
-val member : 'a t -> Net.Node_id.t -> 'a Member.t
-val members : 'a t -> 'a Member.t list
-
-val on_round : 'a t -> (round:int -> unit) -> unit
-
 val deliveries : 'a t -> 'a delivery list
 val generations : 'a t -> (Causal.Mid.t * Sim.Ticks.t) list
-val departures : 'a t -> (Net.Node_id.t * Member.reason * Sim.Ticks.t) list
-
-val subrun : 'a t -> int
-
-val active_members : 'a t -> Net.Node_id.t list
-
-val quiescent : 'a t -> bool
 
 val total_order_ok : 'a t -> bool
 (** The URGC clause: every active process processed the same sequence of

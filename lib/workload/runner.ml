@@ -22,60 +22,24 @@ type report = {
   verdict : Checker.verdict;
 }
 
-(* Workload injection: fires after every round, submits according to the load
-   model, and reports whether the global cap has been reached. *)
-let make_injector (scenario : Scenario.t) cluster rng =
-  let load = scenario.load in
-  (* Over the codec boundary the int payloads encode to exactly 8 bytes, and
-     the codec refuses size lies. *)
-  let payload_size =
-    if scenario.codec_boundary then 8 else load.Load.payload_size
-  in
-  let senders =
-    match load.Load.senders with
-    | Some senders -> senders
-    | None -> Net.Node_id.group scenario.config.Urcgc.Config.n
-  in
-  let produced = ref 0 in
-  let cap_reached () =
-    match load.Load.total_messages with
-    | None -> false
-    | Some cap -> !produced >= cap
-  in
-  let deps_for node =
-    match load.Load.deps_mode with
-    | Load.Frontier -> None
-    | Load.Own_chain -> Some []
-    | Load.Random_frontier p ->
-        let member = Urcgc.Cluster.member cluster node in
-        let n = scenario.config.Urcgc.Config.n in
-        let deps = ref [] in
-        for j = 0 to n - 1 do
-          let origin = Net.Node_id.of_int j in
-          if not (Net.Node_id.equal origin node) then begin
-            let seq = Urcgc.Member.last_processed member origin in
-            if seq > 0 && Sim.Rng.bool rng p then
-              deps := Causal.Mid.make ~origin ~seq :: !deps
-          end
-        done;
-        Some !deps
-  in
-  let inject ~round:_ =
-    if !Sim.Prof.on then Sim.Prof.enter "runner.inject";
-    List.iter
-      (fun node ->
-        if (not (cap_reached ())) && Sim.Rng.bool rng load.Load.rate then begin
-          let member = Urcgc.Cluster.member cluster node in
-          if Urcgc.Member.active member then begin
-            incr produced;
-            Urcgc.Cluster.submit ?deps:(deps_for node) ~size:payload_size
-              cluster node !produced
-          end
-        end)
-      senders;
-    if !Sim.Prof.on then Sim.Prof.exit ()
-  in
-  (inject, cap_reached, produced)
+(* Causal labels per the load model's [deps_mode]; [None] lets the member
+   label with its whole frontier. *)
+let deps_for (scenario : Scenario.t) cluster rng node =
+  match scenario.load.Load.deps_mode with
+  | Load.Frontier -> None
+  | Load.Own_chain -> Some []
+  | Load.Random_frontier p ->
+      let member = Urcgc.Cluster.member cluster node in
+      let deps = ref [] in
+      for j = 0 to scenario.config.Urcgc.Config.n - 1 do
+        let origin = Net.Node_id.of_int j in
+        if not (Net.Node_id.equal origin node) then begin
+          let seq = Urcgc.Member.last_processed member origin in
+          if seq > 0 && Sim.Rng.bool rng p then
+            deps := Causal.Mid.make ~origin ~seq :: !deps
+        end
+      done;
+      Some !deps
 
 let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   let engine = Sim.Engine.create () in
@@ -143,81 +107,56 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   let cluster =
     Urcgc.Cluster.create_with_medium ?tracer ~config:scenario.config ~medium ()
   in
-  let inject, cap_reached, _produced = make_injector scenario cluster rng in
-  Urcgc.Cluster.on_round cluster inject;
+  (* Over the codec boundary the int payloads encode to exactly 8 bytes, and
+     the codec refuses size lies. *)
+  let payload_size =
+    if scenario.codec_boundary then 8 else scenario.load.Load.payload_size
+  in
   (* Sampling: per-round maxima of history and waiting-list lengths. *)
   let history_series = ref [] in
   let history_peak = ref 0 in
   let waiting_peak = ref 0 in
-  Urcgc.Cluster.on_round cluster (fun ~round ->
-      if !Sim.Prof.on then Sim.Prof.enter "runner.sample";
-      let history_max = ref 0 and waiting_max = ref 0 in
-      List.iter
-        (fun member ->
-          if Urcgc.Member.active member then begin
-            history_max := max !history_max (Urcgc.Member.history_length member);
-            waiting_max := max !waiting_max (Urcgc.Member.waiting_length member)
-          end)
-        (Urcgc.Cluster.members cluster);
-      history_series := (round, !history_max) :: !history_series;
-      history_peak := max !history_peak !history_max;
-      waiting_peak := max !waiting_peak !waiting_max;
-      if Sim.Metrics.enabled metrics then begin
-        Sim.Metrics.set_gauge metrics "history.occupancy" !history_max;
-        Sim.Metrics.set_gauge metrics "waiting.depth" !waiting_max;
-        Sim.Metrics.observe metrics "history.occupancy_per_round"
-          (float_of_int !history_max);
-        Sim.Metrics.observe metrics "waiting.depth_per_round"
-          (float_of_int !waiting_max)
-      end;
-      if !Sim.Prof.on then Sim.Prof.exit ());
-  Urcgc.Cluster.start cluster;
-  (* Advance one rtd at a time until the workload is exhausted and the group
-     is quiescent, or the time cap is hit. *)
-  let max_ticks = Sim.Ticks.of_rtd scenario.max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      let target = Sim.Ticks.add now rtd in
-      let target = if Sim.Ticks.(max_ticks < target) then max_ticks else target in
-      Sim.Engine.run engine ~until:target;
-      if cap_reached () && Urcgc.Cluster.quiescent cluster then ()
-      else advance ()
+  let sample ~round =
+    let history_max = ref 0 and waiting_max = ref 0 in
+    List.iter
+      (fun member ->
+        if Urcgc.Member.active member then begin
+          history_max := max !history_max (Urcgc.Member.history_length member);
+          waiting_max := max !waiting_max (Urcgc.Member.waiting_length member)
+        end)
+      (Urcgc.Cluster.members cluster);
+    history_series := (round, !history_max) :: !history_series;
+    history_peak := max !history_peak !history_max;
+    waiting_peak := max !waiting_peak !waiting_max;
+    if Sim.Metrics.enabled metrics then begin
+      Sim.Metrics.set_gauge metrics "history.occupancy" !history_max;
+      Sim.Metrics.set_gauge metrics "waiting.depth" !waiting_max;
+      Sim.Metrics.observe metrics "history.occupancy_per_round"
+        (float_of_int !history_max);
+      Sim.Metrics.observe metrics "waiting.depth_per_round"
+        (float_of_int !waiting_max)
     end
   in
-  if !Sim.Prof.on then Sim.Prof.enter "runner.run";
-  advance ();
-  if !Sim.Prof.on then Sim.Prof.exit ();
-  (* Reduce the event log to the report. *)
-  if !Sim.Prof.on then Sim.Prof.enter "runner.reduce";
+  Harness.run ~sample (Urcgc.Cluster.core cluster)
+    ~start:(fun () -> Urcgc.Cluster.start cluster)
+    ~quiescent:(fun () -> Urcgc.Cluster.quiescent cluster)
+    ~submit:(fun node id ->
+      Urcgc.Cluster.submit
+        ?deps:(deps_for scenario cluster rng node)
+        ~size:payload_size cluster node id)
+    scenario.load ~rng ~max_rtd:scenario.max_rtd
+  @@ fun () ->
   let generations = Urcgc.Cluster.generations cluster in
-  let sent_at =
-    List.fold_left
-      (fun acc { Urcgc.Cluster.mid; sent_at; _ } ->
-        Causal.Mid.Map.add mid sent_at acc)
-      Causal.Mid.Map.empty generations
-  in
-  let deliveries = Urcgc.Cluster.deliveries cluster in
-  let remote =
-    List.filter
-      (fun { Urcgc.Cluster.node; msg; _ } ->
+  let latency =
+    Harness.latency
+      ~generations:
+        (List.map (fun (g : _ Urcgc.Cluster.generation) -> (g.mid, g.sent_at))
+           generations)
+      ~key:(fun (d : _ Urcgc.Cluster.delivery) -> d.msg.Causal.Causal_msg.mid)
+      ~at:(fun (d : _ Urcgc.Cluster.delivery) -> d.at)
+      ~remote:(fun { Urcgc.Cluster.node; msg; _ } ->
         not (Net.Node_id.equal node (Causal.Mid.origin msg.Causal.Causal_msg.mid)))
-      deliveries
-  in
-  let delays =
-    List.filter_map
-      (fun { Urcgc.Cluster.msg; at; _ } ->
-        match Causal.Mid.Map.find_opt msg.Causal.Causal_msg.mid sent_at with
-        | None -> None
-        | Some t0 -> Some (Sim.Ticks.to_rtd (Sim.Ticks.diff at t0)))
-      remote
-  in
-  let completion_rtd =
-    List.fold_left
-      (fun acc { Urcgc.Cluster.at; _ } -> Float.max acc (Sim.Ticks.to_rtd at))
-      0.0 deliveries
+      (Urcgc.Cluster.deliveries cluster)
   in
   let traffic = Urcgc.Medium.traffic medium in
   let fragments =
@@ -235,7 +174,7 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   in
   if Sim.Metrics.enabled metrics then begin
     Sim.Metrics.incr metrics ~by:(List.length generations) "messages.generated";
-    Sim.Metrics.incr metrics ~by:(List.length remote) "deliveries.remote";
+    Sim.Metrics.incr metrics ~by:latency.remote "deliveries.remote";
     Sim.Metrics.incr metrics ~by:discarded "messages.discarded";
     Sim.Metrics.incr metrics
       ~by:(List.length (Urcgc.Cluster.departures cluster))
@@ -243,14 +182,14 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
     Sim.Metrics.incr metrics ~by:(net_dropped ()) "net.drops";
     Sim.Metrics.incr metrics ~by:(net_retransmissions ()) "net.retransmissions";
     Sim.Metrics.incr metrics ~by:(net_fragments ()) "net.fragments_sent";
-    List.iter (Sim.Metrics.observe metrics "delivery.latency_rtd") delays
+    List.iter (Sim.Metrics.observe metrics "delivery.latency_rtd") latency.delays
   end;
-  let report = {
+  {
     scenario;
     generated = List.length generations;
-    delivered_remote = List.length remote;
-    delay = Stats.Summary.of_list delays;
-    completion_rtd;
+    delivered_remote = latency.remote;
+    delay = Stats.Summary.of_list latency.delays;
+    completion_rtd = latency.completion_rtd;
     subruns = Urcgc.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
     control_bytes = Net.Traffic.bytes traffic Net.Traffic.Control;
@@ -267,17 +206,13 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
     discarded;
     fragments;
     verdict = Checker.check cluster;
-  } in
-  if !Sim.Prof.on then Sim.Prof.exit ();
-  report
+  }
 
 let control_msgs_per_subrun report =
   if report.subruns = 0 then 0.0
   else float_of_int report.control_msgs /. float_of_int report.subruns
 
-let mean_delay_rtd report =
-  if report.delay.Stats.Summary.count = 0 then 0.0
-  else report.delay.Stats.Summary.mean
+let mean_delay_rtd report = Harness.mean_delay_rtd report.delay
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -52,34 +52,26 @@ let check_causal n deliveries violations =
 
 let check_atomicity actives deliveries violations =
   let sets = Hashtbl.create 16 in
-  List.iter (fun node -> Hashtbl.replace sets node []) actives;
   List.iter
     (fun { Cbcast.Cluster.node; data; _ } ->
-      match Hashtbl.find_opt sets node with
-      | None -> ()
-      | Some acc ->
-          Hashtbl.replace sets node
-            ((Net.Node_id.to_int data.Cbcast.Cb_wire.sender, Cbcast.Cb_wire.seq data)
-            :: acc))
+      Hashtbl.add sets node
+        (Net.Node_id.to_int data.Cbcast.Cb_wire.sender, Cbcast.Cb_wire.seq data))
     deliveries;
+  let delivered node = List.sort_uniq compare (Hashtbl.find_all sets node) in
   match actives with
   | [] -> true
   | first :: rest ->
-      let norm node = List.sort_uniq compare (Hashtbl.find sets node) in
-      let reference = norm first in
-      let ok = ref true in
+      let reference = delivered first in
+      let differing = List.filter (fun node -> delivered node <> reference) rest in
       List.iter
         (fun node ->
-          if norm node <> reference then begin
-            ok := false;
-            violations :=
-              Format.asprintf "cbcast atomicity: %a and %a delivered \
-                               different message sets"
-                Net.Node_id.pp first Net.Node_id.pp node
-              :: !violations
-          end)
-        rest;
-      !ok
+          violations :=
+            Format.asprintf
+              "cbcast atomicity: %a and %a delivered different message sets"
+              Net.Node_id.pp first Net.Node_id.pp node
+            :: !violations)
+        differing;
+      differing = []
 
 let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   let engine = Sim.Engine.create () in
@@ -88,104 +80,52 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   let cluster =
     Cbcast.Cluster.create ?tracer ~n ~k ~engine ~fault ~rng:(Sim.Rng.split rng) ()
   in
-  let senders =
-    match load.Load.senders with
-    | Some senders -> senders
-    | None -> Net.Node_id.group n
-  in
-  let produced = ref 0 in
-  let cap_reached () =
-    match load.Load.total_messages with
-    | None -> false
-    | Some cap -> !produced >= cap
-  in
-  Cbcast.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if (not (cap_reached ())) && Sim.Rng.bool rng load.Load.rate then begin
-            let member = Cbcast.Cluster.member cluster node in
-            if Cbcast.Member.active member then begin
-              incr produced;
-              Cbcast.Cluster.submit ~size:load.Load.payload_size cluster node
-                !produced
-            end
-          end)
-        senders);
+  let core = Cbcast.Cluster.core cluster in
   let unstable_peak = ref 0 in
-  Cbcast.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun member ->
-          if Cbcast.Member.active member then
-            unstable_peak := max !unstable_peak (Cbcast.Member.unstable member))
-        (Cbcast.Cluster.members cluster));
-  Cbcast.Cluster.start cluster;
-  let max_ticks = Sim.Ticks.of_rtd max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      let target = Sim.Ticks.add now rtd in
-      let target = if Sim.Ticks.(max_ticks < target) then max_ticks else target in
-      Sim.Engine.run engine ~until:target;
-      if cap_reached () && Cbcast.Cluster.quiescent cluster then ()
-      else advance ()
-    end
+  let sample ~round:_ =
+    unstable_peak :=
+      max !unstable_peak (Net.Cluster.max_active core Cbcast.Member.unstable)
   in
-  advance ();
+  Harness.run ~sample core
+    ~start:(fun () -> Cbcast.Cluster.start cluster)
+    ~quiescent:(fun () -> Cbcast.Cluster.quiescent cluster)
+    ~submit:(fun node id ->
+      Cbcast.Cluster.submit ~size:load.Load.payload_size cluster node id)
+    load ~rng ~max_rtd
+  @@ fun () ->
   let deliveries = Cbcast.Cluster.deliveries cluster in
   let generations = Cbcast.Cluster.generations cluster in
-  let sent_at = Hashtbl.create 256 in
-  List.iter
-    (fun (sender, seq, at) ->
-      Hashtbl.replace sent_at (Net.Node_id.to_int sender, seq) at)
-    generations;
-  let remote =
-    List.filter
-      (fun { Cbcast.Cluster.node; data; _ } ->
+  let latency =
+    Harness.latency
+      ~generations:(List.map (fun (s, q, t0) -> ((s, q), t0)) generations)
+      ~key:(fun (d : _ Cbcast.Cluster.delivery) ->
+        (d.data.Cbcast.Cb_wire.sender, Cbcast.Cb_wire.seq d.data))
+      ~at:(fun (d : _ Cbcast.Cluster.delivery) -> d.at)
+      ~remote:(fun { Cbcast.Cluster.node; data; _ } ->
         not (Net.Node_id.equal node data.Cbcast.Cb_wire.sender))
       deliveries
   in
-  let delays =
-    List.filter_map
-      (fun { Cbcast.Cluster.data; at; _ } ->
-        match
-          Hashtbl.find_opt sent_at
-            (Net.Node_id.to_int data.Cbcast.Cb_wire.sender, Cbcast.Cb_wire.seq data)
-        with
-        | None -> None
-        | Some t0 -> Some (Sim.Ticks.to_rtd (Sim.Ticks.diff at t0)))
-      remote
-  in
-  let completion_rtd =
-    List.fold_left
-      (fun acc (d : _ Cbcast.Cluster.delivery) ->
-        Float.max acc (Sim.Ticks.to_rtd d.at))
-      0.0 deliveries
-  in
   let flush_time_rtd =
-    match (Cbcast.Cluster.flush_starts cluster, Cbcast.Cluster.view_changes cluster) with
-    | [], _ -> 0.0
-    | starts, [] ->
-        (* A flush began but never completed within the run. *)
+    match Cbcast.Cluster.flush_starts cluster with
+    | [] -> 0.0
+    | starts -> (
         let first =
           List.fold_left
             (fun acc (_, _, at) -> Float.min acc (Sim.Ticks.to_rtd at))
             infinity starts
         in
-        Sim.Ticks.to_rtd (Sim.Engine.now engine) -. first
-    | starts, changes ->
-        let first =
-          List.fold_left
-            (fun acc (_, _, at) -> Float.min acc (Sim.Ticks.to_rtd at))
-            infinity starts
-        in
-        let last =
-          List.fold_left
-            (fun acc { Cbcast.Cluster.at; _ } -> Float.max acc (Sim.Ticks.to_rtd at))
-            0.0 changes
-        in
-        Float.max 0.0 (last -. first)
+        match Cbcast.Cluster.view_changes cluster with
+        | [] ->
+            (* A flush began but never completed within the run. *)
+            Sim.Ticks.to_rtd (Sim.Engine.now engine) -. first
+        | changes ->
+            let last =
+              List.fold_left
+                (fun acc { Cbcast.Cluster.at; _ } ->
+                  Float.max acc (Sim.Ticks.to_rtd at))
+                0.0 changes
+            in
+            Float.max 0.0 (last -. first))
   in
   let actives = Cbcast.Cluster.active_members cluster in
   let violations = ref [] in
@@ -195,9 +135,9 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   {
     name;
     generated = List.length generations;
-    delivered_remote = List.length remote;
-    delay = Stats.Summary.of_list delays;
-    completion_rtd;
+    delivered_remote = latency.remote;
+    delay = Stats.Summary.of_list latency.delays;
+    completion_rtd = latency.completion_rtd;
     subruns = Cbcast.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
     control_bytes = Net.Traffic.bytes traffic Net.Traffic.Control;
@@ -218,16 +158,12 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
     violations = List.rev !violations;
   }
 
-let mean_delay_rtd report =
-  if report.delay.Stats.Summary.count = 0 then 0.0
-  else report.delay.Stats.Summary.mean
-
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v 2>%s:@ generated=%d delivered_remote=%d@ mean delay=%.3f rtd@ \
      completion=%.1f rtd@ control: %d msgs, mean %.0f B, max %d B; acks=%d@ \
      unstable peak=%d@ view changes=%d flush time=%.1f rtd@ causal=%b \
      atomic=%b@]"
-    r.name r.generated r.delivered_remote (mean_delay_rtd r) r.completion_rtd
-    r.control_msgs r.control_mean_size r.control_max_size r.ack_msgs
-    r.unstable_peak r.view_changes r.flush_time_rtd r.causal_ok r.atomicity_ok
+    r.name r.generated r.delivered_remote (Harness.mean_delay_rtd r.delay)
+    r.completion_rtd r.control_msgs r.control_mean_size r.control_max_size
+    r.ack_msgs r.unstable_peak r.view_changes r.flush_time_rtd r.causal_ok r.atomicity_ok

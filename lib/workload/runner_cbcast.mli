@@ -25,7 +25,7 @@ type report = {
 }
 
 val run :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?name:string ->
   n:int ->
   k:int ->
@@ -35,7 +35,5 @@ val run :
   max_rtd:float ->
   unit ->
   report
-
-val mean_delay_rtd : report -> float
 
 val pp_report : Format.formatter -> report -> unit

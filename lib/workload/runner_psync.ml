@@ -46,75 +46,27 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
   let fault = Net.Fault.create fault ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Psync.Cluster.create ?tracer ?pending_bound ~n ~k ~net () in
-  let senders =
-    match load.Load.senders with
-    | Some senders -> senders
-    | None -> Net.Node_id.group n
-  in
-  let produced = ref 0 in
-  let cap_reached () =
-    match load.Load.total_messages with
-    | None -> false
-    | Some cap -> !produced >= cap
-  in
-  Psync.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if (not (cap_reached ())) && Sim.Rng.bool rng load.Load.rate then begin
-            let member = Psync.Cluster.member cluster node in
-            if Psync.Member.active member then begin
-              incr produced;
-              Psync.Cluster.submit ~size:load.Load.payload_size cluster node
-                !produced
-            end
-          end)
-        senders);
+  let core = Psync.Cluster.core cluster in
   let pending_peak = ref 0 in
-  Psync.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun member ->
-          if Psync.Member.active member then
-            pending_peak := max !pending_peak (Psync.Member.pending member))
-        (Psync.Cluster.members cluster));
-  Psync.Cluster.start cluster;
-  let max_ticks = Sim.Ticks.of_rtd max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      let target = Sim.Ticks.add now rtd in
-      let target = if Sim.Ticks.(max_ticks < target) then max_ticks else target in
-      Sim.Engine.run engine ~until:target;
-      if cap_reached () && Psync.Cluster.quiescent cluster then ()
-      else advance ()
-    end
+  let sample ~round:_ =
+    pending_peak :=
+      max !pending_peak (Net.Cluster.max_active core Psync.Member.pending)
   in
-  advance ();
+  Harness.run ~sample core
+    ~start:(fun () -> Psync.Cluster.start cluster)
+    ~quiescent:(fun () -> Psync.Cluster.quiescent cluster)
+    ~submit:(fun node id ->
+      Psync.Cluster.submit ~size:load.Load.payload_size cluster node id)
+    load ~rng ~max_rtd
+  @@ fun () ->
   let deliveries = Psync.Cluster.deliveries cluster in
-  let sent_at = Hashtbl.create 256 in
-  List.iter
-    (fun (mid, at) -> Hashtbl.replace sent_at mid at)
-    (Psync.Cluster.generations cluster);
-  let remote =
-    List.filter
-      (fun { Psync.Cluster.node; msg; _ } ->
+  let latency =
+    Harness.latency ~generations:(Psync.Cluster.generations cluster)
+      ~key:(fun (d : _ Psync.Cluster.delivery) -> d.msg.Psync.Context_graph.mid)
+      ~at:(fun (d : _ Psync.Cluster.delivery) -> d.at)
+      ~remote:(fun { Psync.Cluster.node; msg; _ } ->
         not (Net.Node_id.equal node msg.Psync.Context_graph.mid.sender))
       deliveries
-  in
-  let delays =
-    List.filter_map
-      (fun { Psync.Cluster.msg; at; _ } ->
-        match Hashtbl.find_opt sent_at msg.Psync.Context_graph.mid with
-        | None -> None
-        | Some t0 -> Some (Sim.Ticks.to_rtd (Sim.Ticks.diff at t0)))
-      remote
-  in
-  let completion_rtd =
-    List.fold_left
-      (fun acc (d : _ Psync.Cluster.delivery) ->
-        Float.max acc (Sim.Ticks.to_rtd d.at))
-      0.0 deliveries
   in
   let violations = ref [] in
   let causal_ok = check_causal deliveries violations in
@@ -122,9 +74,9 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
   {
     name;
     generated = List.length (Psync.Cluster.generations cluster);
-    delivered_remote = List.length remote;
-    delay = Stats.Summary.of_list delays;
-    completion_rtd;
+    delivered_remote = latency.remote;
+    delay = Stats.Summary.of_list latency.delays;
+    completion_rtd = latency.completion_rtd;
     subruns = Psync.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
     recovery_msgs = Net.Traffic.count traffic Net.Traffic.Recovery;
@@ -136,15 +88,11 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
     violations = List.rev !violations;
   }
 
-let mean_delay_rtd report =
-  if report.delay.Stats.Summary.count = 0 then 0.0
-  else report.delay.Stats.Summary.mean
-
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v 2>%s:@ generated=%d delivered_remote=%d@ mean delay=%.3f rtd@ \
      completion=%.1f rtd@ control=%d recovery=%d data=%d@ pending peak=%d \
      dropped=%d masked=%d@ causal=%b@]"
-    r.name r.generated r.delivered_remote (mean_delay_rtd r) r.completion_rtd
-    r.control_msgs r.recovery_msgs r.data_msgs r.pending_peak r.dropped
-    r.masked r.causal_ok
+    r.name r.generated r.delivered_remote (Harness.mean_delay_rtd r.delay)
+    r.completion_rtd r.control_msgs r.recovery_msgs r.data_msgs r.pending_peak
+    r.dropped r.masked r.causal_ok

@@ -18,7 +18,7 @@ type report = {
 }
 
 val run :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?name:string ->
   ?pending_bound:int ->
   n:int ->
@@ -29,7 +29,5 @@ val run :
   max_rtd:float ->
   unit ->
   report
-
-val mean_delay_rtd : report -> float
 
 val pp_report : Format.formatter -> report -> unit

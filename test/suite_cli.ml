@@ -116,6 +116,26 @@ let tests =
                               (read_file perf_b)))))));
     check_exit "campaign --analyze leaves a healthy verdict untouched" 0
       "campaign --analyze --budget 1 --seed 1";
+    Alcotest.test_case "urgc honors a fractional time cap" `Quick (fun () ->
+        (* Regression: the urgc loop used to overshoot a fractional
+           --max-rtd to the next whole rtd, so 10.5 printed exactly what 11
+           prints.  A saturating load keeps the group busy past both caps. *)
+        let stdout_of max_rtd =
+          with_temp_file (fun out ->
+              Alcotest.(check int) "urgc ok" 0
+                (Sys.command
+                   (Printf.sprintf
+                      "%s urgc -n 5 --rate 1.0 --messages 100000 --max-rtd %s \
+                       > %s 2>/dev/null"
+                      exe max_rtd (Filename.quote out)));
+              read_file out)
+        in
+        let capped = stdout_of "10.5" and whole = stdout_of "11" in
+        Alcotest.(check string) "10.5 rtd"
+          "urgc: generated=105 processed events=435 over 11 subruns; total \
+           order: true\n"
+          capped;
+        Alcotest.(check bool) "differs from 11 rtd" true (capped <> whole));
   ]
 
 let suite = [ ("cli.exit-codes", tests) ]

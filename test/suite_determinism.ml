@@ -110,10 +110,14 @@ let cbcast_order_property =
 let tracer_tests =
   [
     Alcotest.test_case "dump renders every retained event" `Quick (fun () ->
-        let tracer = Sim.Tracer.create () in
-        Sim.Tracer.emit tracer ~time:(Sim.Ticks.of_int 5) ~source:"p0" "one";
-        Sim.Tracer.emit tracer ~time:(Sim.Ticks.of_int 6) ~source:"p1" "two";
-        let out = Format.asprintf "%a" Sim.Tracer.dump tracer in
+        let tracer = Sim.Trace.create () in
+        let note source message = Sim.Trace.Note { source; message } in
+        Sim.Trace.emit tracer ~time:(Sim.Ticks.of_int 5) (note "p0" "one");
+        Sim.Trace.emit tracer ~time:(Sim.Ticks.of_int 6) (note "p1" "two");
+        let out =
+          Format.asprintf "%t" (fun ppf ->
+              Sim.Trace.iter tracer ~f:(Format.fprintf ppf "%a@." Sim.Trace.pp_record))
+        in
         Alcotest.(check bool) "has one" true (Astring_contains.contains out "one");
         Alcotest.(check bool) "has two" true (Astring_contains.contains out "two");
         Alcotest.(check bool) "has source" true

@@ -1,7 +1,6 @@
 (* The typed observability layer: sink semantics (ring buffer, stateless
    null), the deterministic JSONL export (golden fixed-seed run, byte
-   identity across runs), the Tracer string shim, and the Metrics
-   registry. *)
+   identity across runs), free-form narration, and the Metrics registry. *)
 
 let t0 = Sim.Ticks.of_int 0
 let at n = Sim.Ticks.of_int n
@@ -135,7 +134,7 @@ let sink_tests =
           "unknown stage rejected" true
           (Sim.Trace.stage_of_string "wire" = None));
     Alcotest.test_case "null retains nothing, ever" `Quick (fun () ->
-        (* Regression: Tracer.null used to be a shared mutable record, so
+        (* Regression: the null sink used to be a shared mutable record, so
            every user of the "disabled" tracer aliased one global queue.
            The null sink is now a stateless constructor: emitting to it
            cannot retain, and no two uses can observe each other. *)
@@ -150,39 +149,51 @@ let sink_tests =
         Alcotest.(check bool)
           "find sees nothing" true
           (Sim.Trace.find null_a ~f:(fun _ -> true) = None));
-    Alcotest.test_case "tracer shim null never retains either" `Quick (fun () ->
-        Sim.Tracer.emit Sim.Tracer.null ~time:t0 ~source:"x" "dropped";
-        Sim.Tracer.emitf Sim.Tracer.null ~time:t0 ~source:"x" "%d-%s" 3 "y";
-        Alcotest.(check int) "count" 0 (Sim.Tracer.count Sim.Tracer.null);
-        Alcotest.(check bool)
-          "events empty" true
-          (Sim.Tracer.events Sim.Tracer.null = []));
-    Alcotest.test_case "shim round-trips strings through Note events" `Quick
+    Alcotest.test_case "note narration round-trips through Note events" `Quick
       (fun () ->
-        let t = Sim.Tracer.create () in
-        Sim.Tracer.emit t ~time:(at 7) ~source:"n3" "hello";
-        Sim.Tracer.emitf t ~time:(at 8) ~source:"net" "x=%d" 42;
-        match Sim.Tracer.events t with
-        | [ a; b ] ->
-            Alcotest.(check string) "source a" "n3" a.Sim.Tracer.source;
-            Alcotest.(check string) "message a" "hello" a.Sim.Tracer.message;
-            Alcotest.(check string) "message b" "x=42" b.Sim.Tracer.message
-        | events ->
-            Alcotest.failf "expected 2 events, got %d" (List.length events));
-    Alcotest.test_case "shim renders typed events as strings" `Quick (fun () ->
+        (* Net.Cluster.note is how the baseline clusters narrate view
+           changes and mask-outs: a Note per call, and nothing — not even
+           the formatting — on the null sink. *)
+        let cluster tracer =
+          let engine = Sim.Engine.create () in
+          let fault =
+            Net.Fault.create Net.Fault.reliable ~rng:(Sim.Rng.create ~seed:1)
+          in
+          Net.Cluster.create ~tracer ~engine ~fault ~active:(fun () -> true)
+            [| () |]
+        in
+        let t = Sim.Trace.create () in
+        Net.Cluster.note (cluster t) (Net.Node_id.of_int 3) "x=%d" 42;
+        (match Sim.Trace.records t with
+        | [ { event = Sim.Trace.Note { source; message }; _ } ] ->
+            Alcotest.(check string) "source" "p3" source;
+            Alcotest.(check string) "message" "x=42" message
+        | records ->
+            Alcotest.failf "expected 1 note, got %d" (List.length records));
+        let formatted = ref false in
+        Net.Cluster.note (cluster Sim.Trace.null) (Net.Node_id.of_int 0) "%t"
+          (fun _ -> formatted := true);
+        Alcotest.(check bool) "null never formats" false !formatted);
+    Alcotest.test_case "pp_record renders typed events as strings" `Quick
+      (fun () ->
         let t = Sim.Trace.create () in
         Sim.Trace.emit t ~time:(at 5)
           (Sim.Trace.Deliver { node = 2; mid = { origin = 1; seq = 4 } });
         Sim.Trace.emit t ~time:(at 6)
           (Sim.Trace.Rotate { subrun = 3; coordinator = 1 });
-        match Sim.Tracer.events t with
+        match Sim.Trace.records t with
         | [ d; r ] ->
-            Alcotest.(check string) "deliver source" "n2" d.Sim.Tracer.source;
+            let render record =
+              ( Sim.Trace.event_source record.Sim.Trace.event,
+                Sim.Trace.event_message record.Sim.Trace.event )
+            in
+            Alcotest.(check (pair string string))
+              "deliver" ("n2", "processed n1#4") (render d);
+            Alcotest.(check (pair string string))
+              "rotate" ("group", "subrun 3 coordinator is n1") (render r);
             Alcotest.(check string)
-              "deliver message" "processed n1#4" d.Sim.Tracer.message;
-            Alcotest.(check string) "rotate source" "group" r.Sim.Tracer.source;
-            Alcotest.(check string)
-              "rotate message" "subrun 3 coordinator is n1" r.Sim.Tracer.message
+              "pp_record line" "[0.05rtd] n2           processed n1#4"
+              (Format.asprintf "%a" Sim.Trace.pp_record d)
         | events ->
             Alcotest.failf "expected 2 events, got %d" (List.length events));
   ]

@@ -98,34 +98,8 @@ let coordinator_tests =
 
 let run_urgc ?(n = 6) ?(k = 3) ?(rate = 0.5) ?(messages = 50)
     ?(fault = Net.Fault.reliable) ?(seed = 42) ?(max_rtd = 120.0) () =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let fault = Net.Fault.create fault ~rng:(Sim.Rng.split rng) in
-  let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
-  let cluster = Urgc.Cluster.create ~n ~k ~net () in
-  let produced = ref 0 in
-  Urgc.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if !produced < messages && Sim.Rng.bool rng rate then begin
-            incr produced;
-            Urgc.Cluster.submit cluster node !produced
-          end)
-        (Net.Node_id.group n));
-  Urgc.Cluster.start cluster;
-  let max_ticks = Sim.Ticks.of_rtd max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      Sim.Engine.run engine ~until:(Sim.Ticks.add now rtd);
-      if !produced >= messages && Urgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
-  in
-  advance ();
-  (engine, cluster)
+  let load = Workload.Load.make ~rate ~total_messages:messages () in
+  Workload.Runner_urgc.simulate ~n ~k ~load ~fault ~seed ~max_rtd ()
 
 let crash_spec crashes =
   Net.Fault.with_crashes
@@ -138,19 +112,19 @@ let crash_spec crashes =
 let e2e_tests =
   [
     Alcotest.test_case "reliable run: total order everywhere" `Slow (fun () ->
-        let _, cluster = run_urgc () in
+        let cluster = run_urgc () in
         Alcotest.(check bool) "total order" true
           (Urgc.Cluster.total_order_ok cluster);
         Alcotest.(check int) "everything processed everywhere" (50 * 6)
           (List.length (Urgc.Cluster.deliveries cluster)));
     Alcotest.test_case "total order survives omissions" `Slow (fun () ->
-        let _, cluster =
+        let cluster =
           run_urgc ~fault:(Net.Fault.omission_every 100) ~messages:60 ()
         in
         Alcotest.(check bool) "total order" true
           (Urgc.Cluster.total_order_ok cluster));
     Alcotest.test_case "total order survives a crash" `Slow (fun () ->
-        let _, cluster = run_urgc ~fault:(crash_spec [ (2, 4) ]) () in
+        let cluster = run_urgc ~fault:(crash_spec [ (2, 4) ]) () in
         Alcotest.(check bool) "total order" true
           (Urgc.Cluster.total_order_ok cluster);
         (* survivors agree on the same processed count *)
@@ -172,24 +146,12 @@ let e2e_tests =
         (* Same workload through both algorithms; the causal service
            processes at reception (~0.45 rtd) while the total-order service
            must wait for the sequencing decision (>= ~1 rtd). *)
-        let _, cluster = run_urgc ~seed:7 () in
-        let sent_at = Hashtbl.create 64 in
-        List.iter
-          (fun (mid, at) -> Hashtbl.replace sent_at mid at)
-          (Urgc.Cluster.generations cluster);
-        let delays =
-          List.filter_map
-            (fun { Urgc.Cluster.data; at; _ } ->
-              Option.map
-                (fun t0 -> Sim.Ticks.to_rtd (Sim.Ticks.diff at t0))
-                (Hashtbl.find_opt sent_at data.Urgc.Total_wire.mid))
-            (Urgc.Cluster.deliveries cluster)
-        in
+        let load = Workload.Load.make ~rate:0.5 ~total_messages:50 () in
         let urgc_mean =
-          List.fold_left ( +. ) 0.0 delays /. float_of_int (List.length delays)
+          Workload.Harness.mean_delay_rtd
+            (Workload.Runner_urgc.report (run_urgc ~seed:7 ())).delay
         in
         let config = Urcgc.Config.make ~k:3 ~n:6 () in
-        let load = Workload.Load.make ~rate:0.5 ~total_messages:50 () in
         let scenario =
           Workload.Scenario.make ~name:"urcgc-cmp" ~seed:7 ~max_rtd:120.0
             ~config ~load ()
@@ -214,7 +176,7 @@ let e2e_property =
             (Net.Fault.omission_every 200)
         else Net.Fault.reliable
       in
-      let _, cluster = run_urgc ~n ~fault ~seed ~messages:30 () in
+      let cluster = run_urgc ~n ~fault ~seed ~messages:30 () in
       Urgc.Cluster.total_order_ok cluster)
 
 let suite =
