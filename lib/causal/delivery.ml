@@ -6,11 +6,16 @@ let create ~n =
 
 let n t = Array.length t.last
 
-let last_processed t origin = t.last.(Net.Node_id.to_int origin)
+(* The functions below read [Mid.t]'s fields and coerce [Node_id.t] (a
+   private int) directly instead of going through [Mid.origin], [Mid.seq]
+   and [Node_id.to_int]: every library is compiled with [-opaque] in the
+   default build profile, so those accessors would be out-of-line calls —
+   three per dependency on the receive path and in the checker's replay. *)
+let last_processed t (origin : Net.Node_id.t) = t.last.((origin :> int))
 
 let vector t = Array.copy t.last
 
-let processed t mid = Mid.seq mid <= last_processed t (Mid.origin mid)
+let processed t (mid : Mid.t) = mid.seq <= t.last.((mid.origin :> int))
 
 let missing t (msg : _ Causal_msg.t) =
   let mid = msg.mid in
@@ -32,19 +37,18 @@ let missing t (msg : _ Causal_msg.t) =
 let rec deps_processed t deps i =
   i >= Array.length deps || (processed t deps.(i) && deps_processed t deps (i + 1))
 
-let processable t msg =
-  let mid = msg.Causal_msg.mid in
-  Mid.seq mid = last_processed t (Mid.origin mid) + 1
-  && deps_processed t msg.Causal_msg.deps 0
+let processable t (msg : _ Causal_msg.t) =
+  let mid = msg.mid in
+  mid.seq = t.last.((mid.origin :> int)) + 1 && deps_processed t msg.deps 0
 
-let mark t mid =
-  let i = Net.Node_id.to_int (Mid.origin mid) in
-  if Mid.seq mid <> t.last.(i) + 1 then
+let mark t (mid : Mid.t) =
+  let i = (mid.origin :> int) in
+  if mid.seq <> t.last.(i) + 1 then
     invalid_arg "Delivery.mark: out-of-order processing";
-  t.last.(i) <- Mid.seq mid
+  t.last.(i) <- mid.seq
 
-let force_skip_to t ~origin ~seq =
-  let i = Net.Node_id.to_int origin in
+let force_skip_to t ~(origin : Net.Node_id.t) ~seq =
+  let i = (origin :> int) in
   if seq > t.last.(i) then t.last.(i) <- seq
 
 let count t = Array.fold_left ( + ) 0 t.last

@@ -12,8 +12,8 @@ type 'a delivery = {
 let dchunk_size = 512
 
 type 'a dchunk = {
-  d_nodes : int array;
-  d_ats : int array;  (* Ticks, as raw ints *)
+  d_nodes : Net.Node_id.t array;
+  d_ats : Sim.Ticks.t array;
   d_msgs : 'a Causal.Causal_msg.t array;
 }
 
@@ -172,8 +172,8 @@ let sink_of t member =
           | _ ->
               let chunk =
                 {
-                  d_nodes = Array.make dchunk_size 0;
-                  d_ats = Array.make dchunk_size 0;
+                  d_nodes = Array.make dchunk_size self;
+                  d_ats = Array.make dchunk_size at;
                   (* [msg] as the fill value: any slot past [dfill] is dead,
                      and seeding with a real message keeps the array boxed
                      without a sentinel. *)
@@ -184,8 +184,8 @@ let sink_of t member =
               t.dfill <- 0;
               chunk
         in
-        chunk.d_nodes.(t.dfill) <- self_i;
-        chunk.d_ats.(t.dfill) <- (at : Sim.Ticks.t :> int);
+        chunk.d_nodes.(t.dfill) <- self;
+        chunk.d_ats.(t.dfill) <- at;
         chunk.d_msgs.(t.dfill) <- msg;
         t.dfill <- t.dfill + 1;
         if tracing t then
@@ -320,26 +320,24 @@ let on_confirm t callback =
 let add_broadcast_targets t targets =
   t.extra_broadcast_targets <- t.extra_broadcast_targets @ targets
 
+(* Chunks are newest-first and the newest holds [fill] slots; recursing
+   before visiting a chunk's slots replays the whole run oldest-first
+   without building a reversed list. *)
+let rec walk_chunks f fill = function
+  | [] -> ()
+  | chunk :: older ->
+      walk_chunks f dchunk_size older;
+      for i = 0 to fill - 1 do
+        f chunk.d_nodes.(i) chunk.d_msgs.(i) chunk.d_ats.(i)
+      done
+
+let iter_deliveries t f = walk_chunks f t.dfill t.dchunks
+
 let deliveries t =
-  (* Chunks are newest-first; slots within a chunk are oldest-first.
-     Walking newest chunk to oldest and prepending each chunk's slots in
-     reverse yields the whole run oldest-first. *)
   let acc = ref [] in
-  let fill = ref t.dfill in
-  List.iter
-    (fun chunk ->
-      for i = !fill - 1 downto 0 do
-        acc :=
-          {
-            node = Net.Node_id.of_int chunk.d_nodes.(i);
-            msg = chunk.d_msgs.(i);
-            at = Sim.Ticks.of_int chunk.d_ats.(i);
-          }
-          :: !acc
-      done;
-      fill := dchunk_size)
-    t.dchunks;
-  !acc
+  iter_deliveries t (fun node msg at -> acc := { node; msg; at } :: !acc);
+  List.rev !acc
+
 let generations t = List.rev t.generations
 let departures t = List.rev t.departures
 let discards t = List.rev t.discards

@@ -68,6 +68,14 @@ val add_broadcast_targets : 'a t -> Net.Node_id.t list -> unit
     Section 3, where messages are multicast "to the full set of server and
     client processes". *)
 
+val iter_deliveries :
+  'a t ->
+  (Net.Node_id.t -> 'a Causal.Causal_msg.t -> Sim.Ticks.t -> unit) ->
+  unit
+(** [iter_deliveries t f] calls [f node msg at] on every processing event,
+    in simulation order, straight from the recorded columns: it allocates
+    nothing per event. *)
+
 val deliveries : 'a t -> 'a delivery list
 (** Every processing event, in simulation order. *)
 

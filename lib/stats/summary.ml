@@ -25,23 +25,100 @@ let percentile sorted q =
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
 
+(* [Float.compare] without boxing: with both operands known floats the
+   comparisons compile to unboxed instructions.  Same sign as the runtime's
+   float compare, NaN below everything and equal to itself. *)
+let[@inline] compare_floats (x : float) y =
+  Bool.to_int (x > y) - Bool.to_int (x < y) + Bool.to_int (x = x)
+  - Bool.to_int (y = y)
+
+(* The stdlib's [Array.sort] heap sort, specialized to [float array] with
+   its recursions written as loops.  [Array.sort Float.compare] boxes both
+   operands of every comparison; this moves exactly the same elements (so
+   equal-comparing ones such as [0.] and [-0.] end in the same order) and
+   allocates nothing.  [maxson] answers -1 where the stdlib raises
+   [Bottom]. *)
+let maxson a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if compare_floats a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if compare_floats a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && compare_floats a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let sort_floats (a : float array) =
+  let l = Array.length a in
+  for start = ((l + 1) / 3) - 1 downto 0 do
+    (* trickle *)
+    let e = a.(start) in
+    let i = ref start and settled = ref false in
+    while not !settled do
+      let j = maxson a l !i in
+      if j >= 0 && compare_floats a.(j) e > 0 then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        settled := true
+      end
+    done
+  done;
+  for last = l - 1 downto 2 do
+    let e = a.(last) in
+    a.(last) <- a.(0);
+    (* bubble from the root *)
+    let i = ref 0 in
+    let j = ref (maxson a last 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a last !i
+    done;
+    (* trickle up *)
+    let settled = ref false in
+    while not !settled do
+      let father = (!i - 1) / 3 in
+      if compare_floats a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          settled := true
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        settled := true
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let of_list samples =
   match samples with
   | [] -> empty
   | _ ->
       let sorted = Array.of_list samples in
-      Array.sort Float.compare sorted;
+      sort_floats sorted;
       let count = Array.length sorted in
-      let sum = Array.fold_left ( +. ) 0.0 sorted in
-      let mean = sum /. float_of_int count in
-      let var =
-        Array.fold_left
-          (fun acc x ->
-            let d = x -. mean in
-            acc +. (d *. d))
-          0.0 sorted
-        /. float_of_int count
-      in
+      let sum = ref 0.0 in
+      for i = 0 to count - 1 do
+        sum := !sum +. sorted.(i)
+      done;
+      let mean = !sum /. float_of_int count in
+      let sq = ref 0.0 in
+      for i = 0 to count - 1 do
+        let d = sorted.(i) -. mean in
+        sq := !sq +. (d *. d)
+      done;
+      let var = !sq /. float_of_int count in
       {
         count;
         mean;

@@ -15,6 +15,13 @@ val empty : t
 (** All-zero summary of an empty sample. *)
 
 val of_list : float list -> t
+(** Allocates the sorted copy of the sample and the summary, nothing per
+    comparison. *)
+
+val sort_floats : float array -> unit
+(** In-place ascending sort: the same permutation as
+    [Array.sort Float.compare] (so the result is bit-identical, [-0.]
+    versus [0.] and NaN payloads included), without boxing. *)
 
 val of_ints : int list -> t
 

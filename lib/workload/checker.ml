@@ -10,139 +10,76 @@ type verdict = {
 let ok v =
   v.causal_ok && v.atomicity_ok && v.zombie_ok && v.views_ok && v.partition_ok
 
-let check_causal_order cluster violations =
-  let config = Urcgc.Cluster.config cluster in
-  let n = config.Urcgc.Config.n in
-  let trackers = Hashtbl.create n in
-  let tracker node =
-    match Hashtbl.find_opt trackers node with
-    | Some t -> t
-    | None ->
-        let t = Causal.Delivery.create ~n in
-        Hashtbl.replace trackers node t;
-        t
-  in
-  let causal_ok = ref true in
-  List.iter
-    (fun { Urcgc.Cluster.node; msg; at } ->
-      let t = tracker node in
-      if Causal.Delivery.processable t msg then
-        Causal.Delivery.mark t msg.Causal.Causal_msg.mid
-      else begin
-        causal_ok := false;
-        violations :=
-          Format.asprintf
-            "%a processed %a at %a before its causal predecessors (missing %a)"
-            Net.Node_id.pp node Causal.Mid.pp msg.Causal.Causal_msg.mid
-            Sim.Ticks.pp at
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-               Causal.Mid.pp)
-            (Causal.Delivery.missing t msg)
-          :: !violations;
-        (* Keep replaying from the observed state to catch further issues. *)
-        Causal.Delivery.force_skip_to t
-          ~origin:(Causal.Mid.origin msg.Causal.Causal_msg.mid)
-          ~seq:(Causal.Mid.seq msg.Causal.Causal_msg.mid)
-      end)
-    (Urcgc.Cluster.deliveries cluster);
-  !causal_ok
+(* Dense numbering of the mids a run touches, in first-sight order: row
+   [origin] maps a sequence number to the mid's index, or -1.  It lets the
+   per-survivor processed sets be flat byte maps instead of [Mid.Set]s. *)
+type index = { rows : int array array; mutable size : int }
 
-let check_atomicity cluster violations =
-  let actives = Urcgc.Cluster.active_members cluster in
-  let processed_by = Hashtbl.create 16 in
-  List.iter
-    (fun node -> Hashtbl.replace processed_by node Causal.Mid.Set.empty)
-    actives;
-  List.iter
-    (fun { Urcgc.Cluster.node; msg; _ } ->
-      match Hashtbl.find_opt processed_by node with
-      | None -> ()
-      | Some set ->
-          Hashtbl.replace processed_by node
-            (Causal.Mid.Set.add msg.Causal.Causal_msg.mid set))
-    (Urcgc.Cluster.deliveries cluster);
+let index_of ix (mid : Causal.Mid.t) =
+  let origin = (mid.origin :> int) in
+  let row = ix.rows.(origin) in
+  let row =
+    if mid.seq < Array.length row then row
+    else begin
+      let grown = Array.make (max (2 * Array.length row) (mid.seq + 1)) (-1) in
+      Array.blit row 0 grown 0 (Array.length row);
+      ix.rows.(origin) <- grown;
+      grown
+    end
+  in
+  let i = row.(mid.seq) in
+  if i >= 0 then i
+  else begin
+    let i = ix.size in
+    row.(mid.seq) <- i;
+    ix.size <- i + 1;
+    i
+  end
+
+(* The survivors' byte maps grow together, so they always have equal
+   lengths and [Bytes.equal] compares processed sets. *)
+let grow maps ~size =
+  Array.iteri
+    (fun k old ->
+      let grown = Bytes.make (max (2 * Bytes.length old) size) '\000' in
+      Bytes.blit old 0 grown 0 (Bytes.length old);
+      maps.(k) <- grown)
+    maps
+
+let check_atomicity ~actives maps violations =
   match actives with
   | [] -> true
   | first :: rest ->
-      let reference = Hashtbl.find processed_by first in
+      let reference = maps.(0) in
       let atomicity_ok = ref true in
-      List.iter
-        (fun node ->
-          let set = Hashtbl.find processed_by node in
-          if not (Causal.Mid.Set.equal set reference) then begin
+      List.iteri
+        (fun k node ->
+          let set = maps.(k + 1) in
+          if not (Bytes.equal set reference) then begin
             atomicity_ok := false;
-            let only_ref = Causal.Mid.Set.diff reference set in
-            let only_node = Causal.Mid.Set.diff set reference in
+            let only_ref = ref 0 and only_node = ref 0 in
+            Bytes.iteri
+              (fun i r ->
+                if r <> Bytes.get set i then
+                  if r = '\001' then incr only_ref else incr only_node)
+              reference;
             violations :=
               Format.asprintf
                 "atomicity: %a and %a disagree (%d messages only at %a, %d \
                  only at %a)"
-                Net.Node_id.pp first Net.Node_id.pp node
-                (Causal.Mid.Set.cardinal only_ref)
-                Net.Node_id.pp first
-                (Causal.Mid.Set.cardinal only_node)
-                Net.Node_id.pp node
+                Net.Node_id.pp first Net.Node_id.pp node !only_ref
+                Net.Node_id.pp first !only_node Net.Node_id.pp node
               :: !violations
           end)
         rest;
       !atomicity_ok
-
-let check_no_zombie cluster violations =
-  let actives = Net.Node_id.Set.of_list (Urcgc.Cluster.active_members cluster) in
-  (* Only survivors' discards witness group agreement.  A member that later
-     departed may have purged orphans under a decision nobody else holds —
-     the solo "full-group" decision of a partitioned node is the canonical
-     case — and charging its discards against the survivors would flag
-     perfectly uniform runs. *)
-  let discarded =
-    List.fold_left
-      (fun acc (node, mids, _) ->
-        if Net.Node_id.Set.mem node actives then
-          List.fold_left (fun acc mid -> Causal.Mid.Set.add mid acc) acc mids
-        else acc)
-      Causal.Mid.Set.empty
-      (Urcgc.Cluster.discards cluster)
-  in
-  (* First departure tick per node: a member that left must never process
-     anything at a strictly later tick (same-tick events belong to the
-     action batch that contained the departure). *)
-  let left_at = Hashtbl.create 8 in
-  List.iter
-    (fun { Urcgc.Cluster.who; when_; _ } ->
-      if not (Hashtbl.mem left_at who) then Hashtbl.replace left_at who when_)
-    (Urcgc.Cluster.departures cluster);
-  let ok = ref true in
-  List.iter
-    (fun { Urcgc.Cluster.node; msg; at } ->
-      if
-        Net.Node_id.Set.mem node actives
-        && Causal.Mid.Set.mem msg.Causal.Causal_msg.mid discarded
-      then begin
-        ok := false;
-        violations :=
-          Format.asprintf "%a processed discarded message %a" Net.Node_id.pp
-            node Causal.Mid.pp msg.Causal.Causal_msg.mid
-          :: !violations
-      end;
-      match Hashtbl.find_opt left_at node with
-      | Some left when Sim.Ticks.compare at left > 0 ->
-          ok := false;
-          violations :=
-            Format.asprintf "zombie: %a processed %a at %a after leaving at %a"
-              Net.Node_id.pp node Causal.Mid.pp msg.Causal.Causal_msg.mid
-              Sim.Ticks.pp at Sim.Ticks.pp left
-            :: !violations
-      | _ -> ())
-    (Urcgc.Cluster.deliveries cluster);
-  !ok
 
 (* A [Partitioned] departure means a member's adopted view degenerated to
    itself alone: the group lost its primary partition.  Within the fault
    budget (silenced + crashed <= t) this can never happen — at least
    n - t >= t + 1 members keep agreeing on a common view — so any such
    departure is the detectable liveness cost of beyond-budget fault load. *)
-let check_partition cluster violations =
+let check_partition departures violations =
   let ok = ref true in
   List.iter
     (fun { Urcgc.Cluster.who; why; when_ } ->
@@ -155,21 +92,14 @@ let check_partition cluster violations =
             Net.Node_id.pp who Sim.Ticks.pp when_
           :: !violations
       end)
-    (Urcgc.Cluster.departures cluster);
+    departures;
   !ok
 
 (* At quiescence every surviving member must hold the same group view
    (assumption 4 of Section 4: "the algorithm guarantees that all the
    active processes in G achieve the same knowledge about the group"). *)
-let check_views cluster violations =
-  let actives = Urcgc.Cluster.active_members cluster in
-  let views =
-    List.map
-      (fun node ->
-        (node, Urcgc.Member.view (Urcgc.Cluster.member cluster node)))
-      actives
-  in
-  match views with
+let check_views ~actives ~view violations =
+  match List.map (fun node -> (node, view node)) actives with
   | [] -> true
   | (first_node, first) :: rest ->
       let ok = ref true in
@@ -186,21 +116,96 @@ let check_views cluster violations =
         rest;
       !ok
 
-let check cluster =
-  let violations = ref [] in
-  let causal_ok = check_causal_order cluster violations in
-  let atomicity_ok = check_atomicity cluster violations in
-  let zombie_ok = check_no_zombie cluster violations in
-  let views_ok = check_views cluster violations in
-  let partition_ok = check_partition cluster violations in
+let verify ~n ~actives ~view ~iter ~discards ~departures =
+  (* Survivor slot per node, -1 for a member that crashed or left. *)
+  let slot = Array.make n (-1) in
+  List.iteri
+    (fun k (node : Net.Node_id.t) -> slot.((node :> int)) <- k)
+    actives;
+  let ix = { rows = Array.make n [||]; size = 0 } in
+  (* Only survivors' discards witness group agreement.  A member that later
+     departed may have purged orphans under a decision nobody else holds —
+     the solo "full-group" decision of a partitioned node is the canonical
+     case — and charging its discards against the survivors would flag
+     perfectly uniform runs. *)
+  let discarded_ix =
+    List.concat_map
+      (fun ((node : Net.Node_id.t), mids, _) ->
+        if slot.((node :> int)) >= 0 then List.map (index_of ix) mids else [])
+      discards
+  in
+  let discarded = Bytes.make ix.size '\000' in
+  List.iter (fun i -> Bytes.set discarded i '\001') discarded_ix;
+  (* First departure tick per node, -1 if none: a member that left must
+     never process anything at a strictly later tick (same-tick events
+     belong to the action batch that contained the departure). *)
+  let left_at = Array.make n (-1) in
+  List.iter
+    (fun { Urcgc.Cluster.who; when_; _ } ->
+      let who = (who :> int) in
+      if left_at.(who) < 0 then left_at.(who) <- (when_ :> int))
+    departures;
+  let trackers = Array.init n (fun _ -> Causal.Delivery.create ~n) in
+  let processed = Array.make (List.length actives) Bytes.empty in
+  let causal = ref [] and zombie = ref [] in
+  iter (fun (node : Net.Node_id.t) (msg : _ Causal.Causal_msg.t) at ->
+      let mid = msg.mid in
+      let tracker = trackers.((node :> int)) in
+      if Causal.Delivery.processable tracker msg then
+        Causal.Delivery.mark tracker mid
+      else begin
+        causal :=
+          Format.asprintf
+            "%a processed %a at %a before its causal predecessors (missing %a)"
+            Net.Node_id.pp node Causal.Mid.pp mid Sim.Ticks.pp at
+            (Format.pp_print_list
+               ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+               Causal.Mid.pp)
+            (Causal.Delivery.missing tracker msg)
+          :: !causal;
+        (* Keep replaying from the observed state to catch further issues. *)
+        Causal.Delivery.force_skip_to tracker ~origin:mid.origin ~seq:mid.seq
+      end;
+      let k = slot.((node :> int)) in
+      if k >= 0 then begin
+        let i = index_of ix mid in
+        if i >= Bytes.length processed.(k) then grow processed ~size:(i + 1);
+        Bytes.set processed.(k) i '\001';
+        if i < Bytes.length discarded && Bytes.get discarded i = '\001' then
+          zombie :=
+            Format.asprintf "%a processed discarded message %a" Net.Node_id.pp
+              node Causal.Mid.pp mid
+            :: !zombie
+      end;
+      let left = left_at.((node :> int)) in
+      if left >= 0 && (at :> int) > left then
+        zombie :=
+          Format.asprintf "zombie: %a processed %a at %a after leaving at %a"
+            Net.Node_id.pp node Causal.Mid.pp mid Sim.Ticks.pp at Sim.Ticks.pp
+            (Sim.Ticks.of_int left)
+          :: !zombie);
+  (* Violations are reported clause by clause, each in event order. *)
+  let violations = ref !causal in
+  let atomicity_ok = check_atomicity ~actives processed violations in
+  violations := !zombie @ !violations;
+  let views_ok = check_views ~actives ~view violations in
+  let partition_ok = check_partition departures violations in
   {
-    causal_ok;
+    causal_ok = !causal = [];
     atomicity_ok;
-    zombie_ok;
+    zombie_ok = !zombie = [];
     views_ok;
     partition_ok;
     violations = List.rev !violations;
   }
+
+let check cluster =
+  verify ~n:(Urcgc.Cluster.config cluster).Urcgc.Config.n
+    ~actives:(Urcgc.Cluster.active_members cluster)
+    ~view:(fun node -> Urcgc.Member.view (Urcgc.Cluster.member cluster node))
+    ~iter:(Urcgc.Cluster.iter_deliveries cluster)
+    ~discards:(Urcgc.Cluster.discards cluster)
+    ~departures:(Urcgc.Cluster.departures cluster)
 
 let pp ppf v =
   if ok v then Format.pp_print_string ppf "all invariants hold"

@@ -1,6 +1,7 @@
 (** Post-run verification of the URCGC correctness clauses (Definition 3.2).
 
-    The checker replays the recorded processing events and verifies:
+    The checker replays the recorded processing events in one pass and
+    verifies:
     - {b causal ordering}: at every process, every processed message was
       processable at the moment it was processed (its origin chain was
       gap-free and all explicit dependencies already processed);
@@ -16,7 +17,15 @@
       adopted view degenerated to itself alone, i.e. the group lost its
       primary partition — impossible within the fault budget
       (silenced + crashed <= t) and therefore the detectable liveness
-      signature of beyond-budget fault load. *)
+      signature of beyond-budget fault load.
+
+    The pass keeps one {!Causal.Delivery} tracker per node for causal
+    order.  For atomicity it numbers the mids it meets densely and keeps one
+    byte per (survivor, mid): the survivors' processed sets are then byte
+    maps compared with [Bytes.equal].  Survivors' discards form a byte map
+    over the same numbering, and first departures an array of ticks, so the
+    pass allocates nothing per event.  Violations are listed clause by
+    clause in the order above, each clause's in event order. *)
 
 type verdict = {
   causal_ok : bool;
@@ -37,5 +46,23 @@ val ok : verdict -> bool
     state is never traced). *)
 
 val check : 'a Urcgc.Cluster.t -> verdict
+(** [verify] over the cluster's members, recorded deliveries, discards and
+    departures. *)
+
+val verify :
+  n:int ->
+  actives:Net.Node_id.t list ->
+  view:(Net.Node_id.t -> Causal.Group_view.t) ->
+  iter:
+    ((Net.Node_id.t -> 'a Causal.Causal_msg.t -> Sim.Ticks.t -> unit) ->
+    unit) ->
+  discards:(Net.Node_id.t * Causal.Mid.t list * Sim.Ticks.t) list ->
+  departures:Urcgc.Cluster.departure list ->
+  verdict
+(** The checker over plain inputs: a group of [n] members of which the
+    distinct [actives] survived, holding views [view node]; [iter f] calls
+    [f node msg at] on each processing event in order; [discards] and
+    [departures] in order, as {!Urcgc.Cluster} records them.  Every node id
+    and mid origin must be below [n]. *)
 
 val pp : Format.formatter -> verdict -> unit

@@ -391,13 +391,11 @@ let run_schedule c ctx =
   let verdict = Checker.check cluster in
   let generated = List.length (Urcgc.Cluster.generations cluster) in
   let delivered_remote =
-    List.length
-      (List.filter
-         (fun d ->
-           not
-             (Net.Node_id.equal d.Urcgc.Cluster.node
-                (Causal.Mid.origin d.Urcgc.Cluster.msg.Causal.Causal_msg.mid)))
-         (Urcgc.Cluster.deliveries cluster))
+    let count = ref 0 in
+    Urcgc.Cluster.iter_deliveries cluster (fun node msg _ ->
+        let origin = Causal.Mid.origin msg.Causal.Causal_msg.mid in
+        if not (Net.Node_id.equal node origin) then incr count);
+    !count
   in
   let fault_free =
     crashes = [] && omission_slot < 0 && c.silenced = 0

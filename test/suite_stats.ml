@@ -75,6 +75,54 @@ let percentile_properties =
         Float.abs (Stats.Summary.percentile sorted q -. v) <= 1e-9);
   ]
 
+(* [Summary.sort_floats] must be [Array.sort Float.compare] bit for bit:
+   the values that compare equal but differ in bits ([0.] and [-0.], NaNs
+   with different payloads) must land in the same slots. *)
+let sort_property =
+  let special =
+    [|
+      0.0; -0.0; 1.0; -1.0; 2.5; infinity; neg_infinity; nan; -.nan;
+      Int64.float_of_bits 0x7ff0000000000001L; max_float; min_float;
+      epsilon_float;
+    |]
+  in
+  let element =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (Array.get special) (int_bound (Array.length special - 1)));
+          (1, float) ])
+  in
+  let arrays =
+    QCheck.make
+      ~print:QCheck.Print.(array float)
+      QCheck.Gen.(array_size (int_bound 120) element)
+  in
+  QCheck.Test.make ~name:"sort_floats is Array.sort Float.compare, bit for bit"
+    ~count:500 arrays (fun a ->
+      let expected = Array.copy a and got = Array.copy a in
+      Array.sort Float.compare expected;
+      Stats.Summary.sort_floats got;
+      let bits = Array.map Int64.bits_of_float in
+      bits expected = bits got)
+
+let allocation_tests =
+  [
+    Alcotest.test_case "of_list allocates under 4 words per sample" `Quick
+      (fun () ->
+        let count = 10_000 in
+        let rng = Random.State.make [| 7 |] in
+        let samples = List.init count (fun _ -> Random.State.float rng 100.0) in
+        let words () =
+          Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+        in
+        let before = words () in
+        let summary = Stats.Summary.of_list samples in
+        let per_sample = (words () -. before) /. float_of_int count in
+        Alcotest.(check int) "count" count summary.Stats.Summary.count;
+        if per_sample >= 4.0 then
+          Alcotest.failf "of_list allocated %.2f words per sample" per_sample);
+  ]
+
 let series_tests =
   [
     Alcotest.test_case "y_at exact lookup" `Quick (fun () ->
@@ -194,8 +242,9 @@ let analytic_tests =
 let suite =
   [
     ( "stats.summary",
-      summary_tests
-      @ List.map QCheck_alcotest.to_alcotest percentile_properties );
+      summary_tests @ allocation_tests
+      @ List.map QCheck_alcotest.to_alcotest
+          (sort_property :: percentile_properties) );
     ("stats.series", series_tests);
     ("stats.table", table_tests);
     ("stats.analytic", analytic_tests);
