@@ -19,6 +19,16 @@ let successor t = { t with seq = t.seq + 1 }
 
 let encoded_size = 8
 
+let write w t =
+  Net.Bytebuf.Writer.u32 w (Net.Node_id.to_int t.origin);
+  Net.Bytebuf.Writer.u32 w t.seq
+
+let read r =
+  let origin = Net.Bytebuf.Reader.u32 r in
+  let seq = Net.Bytebuf.Reader.u32 r in
+  if seq < 1 then Net.Bytebuf.Reader.fail "mid: sequence number must be >= 1";
+  { origin = Net.Node_id.of_int origin; seq }
+
 let pp ppf t = Format.fprintf ppf "%a#%d" Net.Node_id.pp t.origin t.seq
 
 module Ord = struct

@@ -28,6 +28,11 @@ val successor : t -> t
 val encoded_size : int
 (** Bytes a mid occupies on the wire (4-byte origin + 4-byte seq). *)
 
+val write : Net.Bytebuf.Writer.t -> t -> unit
+val read : Net.Bytebuf.Reader.t -> t
+(** The {!encoded_size}-byte wire layout: origin u32 | seq u32; [read]
+    fails on [seq < 1]. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [p3#7]. *)
 

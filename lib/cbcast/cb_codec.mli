@@ -11,3 +11,9 @@ val encode_body : 'a Net.Bytebuf.codec -> 'a Cb_wire.body -> bytes
 
 val decode_body :
   'a Net.Bytebuf.codec -> n:int -> bytes -> ('a Cb_wire.body, string) result
+(** Total: hostile input yields [Error].  Every PDU but [Data] rejects a
+    strict prefix and a trailing byte.  [Data] is the exception: by the
+    size model ([8 + 4n + payload]) its payload has no length field and
+    runs to the end of the datagram, so a prefix that keeps the
+    [8 + 4n]-byte header, or any extension, decodes [Ok] with a shorter or
+    longer payload (which the payload codec may still refuse). *)

@@ -41,6 +41,11 @@ val seq : 'a data -> int
 (** The message's sequence number, [vt(sender)]. *)
 
 val data_size : 'a data -> int
+
+val flush_header : int -> int
+(** Bytes of a flush header in a group of [n]: the paper's [4(n-1)], but
+    never less than the 8 bytes of fields plus the members bitmap. *)
+
 val body_size : 'a body -> int
 
 val kind : 'a body -> Net.Traffic.kind

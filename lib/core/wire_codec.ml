@@ -1,8 +1,6 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 type 'a payload = 'a Net.Bytebuf.codec = {
   encode : 'a -> bytes;
   decode : bytes -> ('a, string) result;
@@ -17,37 +15,10 @@ let tag_decision = 3
 let tag_recover_req = 4
 let tag_recover_reply = 5
 
-(* The sentinel for accumulator entries still at [max_int]. *)
-let u32_sentinel = 0xFFFFFFFF
+let write_node w node = W.u32 w (Net.Node_id.to_int node)
+let read_node r = Net.Node_id.of_int (R.u32 r)
 
-(* -- mids ---------------------------------------------------------------- *)
-
-let write_mid w mid =
-  W.u32 w (Net.Node_id.to_int (Causal.Mid.origin mid));
-  W.u32 w (Causal.Mid.seq mid)
-
-let read_mid r =
-  let* origin = R.u32 r in
-  let* seq = R.u32 r in
-  if seq < 1 then Error "mid: sequence number must be >= 1"
-  else Ok (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
-
-(* [n] decoded values as an array, filled in place (no list accumulation:
-   vector frames are decoded once per control PDU and were a steady source
-   of [List.rev] garbage). *)
-let read_vec r n read_one =
-  if n = 0 then Ok [||]
-  else
-    let* first = read_one r in
-    let arr = Array.make n first in
-    let rec loop i =
-      if i = n then Ok arr
-      else
-        let* v = read_one r in
-        arr.(i) <- v;
-        loop (i + 1)
-    in
-    loop 1
+let u32s ~n r = R.array r ~count:n ~elt:4 R.u32
 
 (* -- data messages --------------------------------------------------------
 
@@ -56,62 +27,57 @@ let read_vec r n read_one =
      deps (8 bytes each) | payload bytes *)
 
 let write_data payload w (msg : 'a Causal.Causal_msg.t) =
-  let body = payload.encode msg.payload in
-  if Bytes.length body <> msg.payload_size then
-    invalid_arg
-      (Printf.sprintf
-         "Wire_codec: declared payload_size %d but the payload encodes to %d \
-          bytes"
-         msg.payload_size (Bytes.length body));
+  let body =
+    Net.Bytebuf.encode_payload ~who:"Wire_codec" payload
+      ~size:msg.payload_size msg.payload
+  in
   W.u8 w tag_data;
   W.u24 w (Net.Node_id.to_int (Causal.Mid.origin msg.mid));
   W.u32 w (Causal.Mid.seq msg.mid);
   W.u16 w (Array.length msg.deps);
   W.u16 w (Bytes.length body);
-  Array.iter (write_mid w) msg.deps;
+  Array.iter (Causal.Mid.write w) msg.deps;
   W.bytes w body
 
-(* The tag has been consumed by the dispatcher. *)
+(* The tag has been consumed by the caller. *)
 let read_data payload r =
-  let* origin = R.u24 r in
-  let* seq = R.u32 r in
-  let* dep_count = R.u16 r in
-  let* payload_len = R.u16 r in
-  if seq < 1 then Error "data: sequence number must be >= 1"
-  else
-    let* deps = read_vec r dep_count read_mid in
-    let* raw = R.bytes r payload_len in
-    let* value = payload.decode raw in
-    (* [of_sorted_deps] rather than [make]: the encoder always writes deps
-       sorted, so an out-of-order frame is a malformed frame and decodes to
-       an error rather than being silently re-sorted. *)
-    match
-      Causal.Causal_msg.of_sorted_deps
-        ~mid:(Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
-        ~deps ~payload_size:payload_len value
-    with
-    | msg -> Ok msg
-    | exception Invalid_argument reason -> Error reason
+  let origin = R.u24 r in
+  let seq = R.u32 r in
+  let dep_count = R.u16 r in
+  let payload_len = R.u16 r in
+  if seq < 1 then R.fail "data: sequence number must be >= 1";
+  let deps =
+    R.array r ~count:dep_count ~elt:Causal.Mid.encoded_size Causal.Mid.read
+  in
+  let value = R.result (payload.decode (R.bytes r payload_len)) in
+  (* [of_sorted_deps] rather than [make]: the encoder always writes deps
+     sorted, so an out-of-order frame is a malformed frame and decodes to
+     an error rather than being silently re-sorted. *)
+  match
+    Causal.Causal_msg.of_sorted_deps
+      ~mid:(Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
+      ~deps ~payload_size:payload_len value
+  with
+  | msg -> msg
+  | exception Invalid_argument reason -> R.fail "%s" reason
 
 (* -- decisions ------------------------------------------------------------
 
    Layout (= Decision.encoded_size):
      subrun+1 u32 | coordinator u32 | flags u8
      stable, max_processed, most_updated, min_waiting, acc_stable,
-       acc_min_waiting: n x u32 each (acc_stable uses the sentinel)
+       acc_min_waiting: n x u32 each (acc_stable via u32_or_max)
      attempts: n x u16 | alive bitmap | heard bitmap *)
 
 let write_decision w (d : Decision.t) =
   W.u32 w (d.subrun + 1);
-  W.u32 w (Net.Node_id.to_int d.coordinator);
+  write_node w d.coordinator;
   W.u8 w (if d.full_group then 1 else 0);
   Array.iter (W.u32 w) d.stable;
   Array.iter (W.u32 w) d.max_processed;
-  Array.iter (fun node -> W.u32 w (Net.Node_id.to_int node)) d.most_updated;
+  Array.iter (write_node w) d.most_updated;
   Array.iter (W.u32 w) d.min_waiting;
-  Array.iter
-    (fun v -> W.u32 w (if v = max_int then u32_sentinel else v))
-    d.acc_stable;
+  Array.iter (W.u32_or_max w) d.acc_stable;
   Array.iter (W.u32 w) d.acc_min_waiting;
   Array.iter (W.u16 w) d.attempts;
   W.bitmap w d.alive;
@@ -122,36 +88,35 @@ let encode_decision d =
   write_decision w d;
   W.contents w
 
-let decode_decision ~n r =
-  let* subrun_plus1 = R.u32 r in
-  let* coordinator = R.u32 r in
-  let* flags = R.u8 r in
-  let* stable = read_vec r n R.u32 in
-  let* max_processed = read_vec r n R.u32 in
-  let* most_updated_raw = read_vec r n R.u32 in
-  let* min_waiting = read_vec r n R.u32 in
-  let* acc_stable_raw = read_vec r n R.u32 in
-  let* acc_min_waiting = read_vec r n R.u32 in
-  let* attempts = read_vec r n R.u16 in
-  let* alive = R.bitmap r n in
-  let* heard = R.bitmap r n in
-  Ok
-    {
-      Decision.subrun = subrun_plus1 - 1;
-      coordinator = Net.Node_id.of_int coordinator;
-      full_group = flags land 1 <> 0;
-      stable;
-      max_processed;
-      most_updated = Array.map Net.Node_id.of_int most_updated_raw;
-      min_waiting;
-      attempts;
-      alive;
-      heard;
-      acc_stable =
-        Array.map (fun v -> if v = u32_sentinel then max_int else v)
-          acc_stable_raw;
-      acc_min_waiting;
-    }
+let read_decision ~n r =
+  let subrun_plus1 = R.u32 r in
+  let coordinator = read_node r in
+  let flags = R.u8 r in
+  let stable = u32s ~n r in
+  let max_processed = u32s ~n r in
+  let most_updated = R.array r ~count:n ~elt:4 read_node in
+  let min_waiting = u32s ~n r in
+  let acc_stable = R.array r ~count:n ~elt:4 R.u32_or_max in
+  let acc_min_waiting = u32s ~n r in
+  let attempts = R.array r ~count:n ~elt:2 R.u16 in
+  let alive = R.bitmap r n in
+  let heard = R.bitmap r n in
+  {
+    Decision.subrun = subrun_plus1 - 1;
+    coordinator;
+    full_group = flags land 1 <> 0;
+    stable;
+    max_processed;
+    most_updated;
+    min_waiting;
+    attempts;
+    alive;
+    heard;
+    acc_stable;
+    acc_min_waiting;
+  }
+
+let decode_decision ~n raw = Net.Bytebuf.decode (read_decision ~n) raw
 
 (* -- requests -------------------------------------------------------------
 
@@ -163,7 +128,7 @@ let decode_decision ~n r =
 let write_request w (r : Wire.request) =
   W.u8 w tag_request;
   W.u16 w (Net.Node_id.to_int r.sender);
-  W.u8 w 0;
+  W.zeros w 1;
   W.u32 w r.subrun;
   Array.iter (W.u32 w) r.last_processed;
   Array.iter
@@ -173,25 +138,19 @@ let write_request w (r : Wire.request) =
   write_decision w r.prev_decision
 
 let read_request ~n r =
-  let* sender = R.u16 r in
-  let* _reserved = R.u8 r in
-  let* subrun = R.u32 r in
-  let* last_processed = read_vec r n R.u32 in
-  let* waiting_seqs = read_vec r n R.u32 in
-  let* prev_decision = decode_decision ~n r in
-  Ok
-    {
-      Wire.sender = Net.Node_id.of_int sender;
-      subrun;
-      last_processed;
-      waiting =
-        Array.mapi
-          (fun origin seq ->
-            if seq = 0 then None
-            else Some (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq))
-          waiting_seqs;
-      prev_decision;
-    }
+  let sender = Net.Node_id.of_int (R.u16 r) in
+  R.skip r 1;
+  let subrun = R.u32 r in
+  let last_processed = u32s ~n r in
+  let waiting =
+    Array.mapi
+      (fun origin seq ->
+        if seq = 0 then None
+        else Some (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq))
+      (u32s ~n r)
+  in
+  let prev_decision = read_decision ~n r in
+  { Wire.sender; subrun; last_processed; waiting; prev_decision }
 
 (* -- top level ------------------------------------------------------------ *)
 
@@ -201,13 +160,13 @@ let write_body payload w body =
   | Wire.Request r -> write_request w r
   | Wire.Decision_pdu d ->
       W.u8 w tag_decision;
-      W.u24 w 0;
+      W.zeros w 3;
       write_decision w d
   | Wire.Recover_req { requester; origin; from_seq; to_seq } ->
       W.u8 w tag_recover_req;
-      W.u24 w 0;
-      W.u32 w (Net.Node_id.to_int requester);
-      W.u32 w (Net.Node_id.to_int origin);
+      W.zeros w 3;
+      write_node w requester;
+      write_node w origin;
       W.u32 w from_seq;
       W.u32 w to_seq
   | Wire.Recover_reply { responder; messages } ->
@@ -216,7 +175,7 @@ let write_body payload w body =
          delimit the list let a reply truncated at a message boundary decode
          Ok with fewer messages; an explicit count makes that an error. *)
       W.u24 w (List.length messages);
-      W.u32 w (Net.Node_id.to_int responder);
+      write_node w responder;
       List.iter (write_data payload w) messages
 
 let encode_body_into w payload body =
@@ -229,57 +188,30 @@ let encode_body payload body =
   write_body payload w body;
   W.contents w
 
-let decode_body payload ~n raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_data then
-    let* msg = read_data payload r in
-    let* () = R.expect_end r in
-    Ok (Wire.Data msg)
-  else if tag = tag_request then
-    let* request = read_request ~n r in
-    let* () = R.expect_end r in
-    Ok (Wire.Request request)
-  else if tag = tag_decision then
-    let* _pad = R.u24 r in
-    let* d = decode_decision ~n r in
-    let* () = R.expect_end r in
-    Ok (Wire.Decision_pdu d)
-  else if tag = tag_recover_req then
-    let* _pad = R.u24 r in
-    let* requester = R.u32 r in
-    let* origin = R.u32 r in
-    let* from_seq = R.u32 r in
-    let* to_seq = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Wire.Recover_req
-         {
-           requester = Net.Node_id.of_int requester;
-           origin = Net.Node_id.of_int origin;
-           from_seq;
-           to_seq;
-         })
-  else if tag = tag_recover_reply then begin
-    let* expected = R.u24 r in
-    let* responder = R.u32 r in
-    let rec read_messages k acc =
-      if k = 0 then Ok (List.rev acc)
-      else if R.remaining r = 0 then
-        Error
-          (Printf.sprintf
-             "recover-reply: truncated; %d of %d messages missing" k expected)
-      else
-        let* inner_tag = R.u8 r in
-        if inner_tag <> tag_data then Error "recover-reply: expected a data message"
-        else
-          let* msg = read_data payload r in
-          read_messages (k - 1) (msg :: acc)
-    in
-    let* messages = read_messages expected [] in
-    let* () = R.expect_end r in
-    Ok
-      (Wire.Recover_reply
-         { responder = Net.Node_id.of_int responder; messages })
-  end
-  else Error (Printf.sprintf "unknown body tag %d" tag)
+let read_body payload ~n r =
+  match R.u8 r with
+  | tag when tag = tag_data -> Wire.Data (read_data payload r)
+  | tag when tag = tag_request -> Wire.Request (read_request ~n r)
+  | tag when tag = tag_decision ->
+      R.skip r 3;
+      Wire.Decision_pdu (read_decision ~n r)
+  | tag when tag = tag_recover_req ->
+      R.skip r 3;
+      let requester = read_node r in
+      let origin = read_node r in
+      let from_seq = R.u32 r in
+      let to_seq = R.u32 r in
+      Wire.Recover_req { requester; origin; from_seq; to_seq }
+  | tag when tag = tag_recover_reply ->
+      let count = R.u24 r in
+      let responder = read_node r in
+      let messages =
+        R.list r ~count ~elt:Causal.Causal_msg.header_size (fun r ->
+            if R.u8 r <> tag_data then
+              R.fail "recover-reply: expected a data message";
+            read_data payload r)
+      in
+      Wire.Recover_reply { responder; messages }
+  | tag -> R.fail "unknown body tag %d" tag
+
+let decode_body payload ~n raw = Net.Bytebuf.decode (read_body payload ~n) raw

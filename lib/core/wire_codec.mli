@@ -2,8 +2,9 @@
 
     The encoded length of every body is exactly {!Wire.body_size} — the
     byte accounting behind the paper's Table 1 measurements is checked
-    against these codecs by property tests.  Decoding never raises: hostile
-    or truncated input yields [Error].
+    against these codecs by property tests.  Decoding never raises: hostile,
+    truncated or over-long input yields [Error] (the {!Net.Bytebuf} reader
+    contract).
 
     The group cardinality [n] is part of the channel contract (both sides
     know the group), so vectors are encoded without per-message length
@@ -32,4 +33,5 @@ val encode_body_into :
 val decode_body : 'a payload -> n:int -> bytes -> ('a Wire.body, string) result
 
 val encode_decision : Decision.t -> bytes
-val decode_decision : n:int -> Net.Bytebuf.Reader.t -> (Decision.t, string) result
+val decode_decision : n:int -> bytes -> (Decision.t, string) result
+(** Inverse of {!encode_decision}. *)

@@ -1,4 +1,6 @@
-let ( let* ) = Result.bind
+(* The one exception a reader raises on malformed input; [decode] turns it
+   into [Error] and nothing else ever sees it. *)
+exception Malformed of string
 
 module Writer = struct
   type t = Buffer.t
@@ -28,7 +30,14 @@ module Writer = struct
     check v 32;
     Buffer.add_int32_be t (Int32.of_int v)
 
+  let u32_or_max t v = u32 t (if v = max_int then 0xFFFFFFFF else v)
+
   let bytes t b = Buffer.add_bytes t b
+
+  let zeros t n =
+    for _ = 1 to n do
+      Buffer.add_char t '\000'
+    done
 
   let bitmap t flags =
     let n = Array.length flags in
@@ -45,68 +54,75 @@ module Writer = struct
   let contents t = Buffer.to_bytes t
 
   let clear = Buffer.clear
-
-  let reset = Buffer.reset
 end
 
 module Reader = struct
   type t = { data : bytes; mutable pos : int }
 
-  let of_bytes data = { data; pos = 0 }
-
   let remaining t = Bytes.length t.data - t.pos
 
-  let need t n =
-    if remaining t < n then Error (Printf.sprintf "truncated: need %d bytes" n)
-    else Ok ()
+  let fail fmt = Printf.ksprintf (fun reason -> raise (Malformed reason)) fmt
 
-  let u8 t =
-    let* () = need t 1 in
-    let v = Bytes.get_uint8 t.data t.pos in
-    t.pos <- t.pos + 1;
-    Ok v
+  (* Claims the next [n] bytes, returning where they start. *)
+  let advance t n =
+    if n < 0 then fail "negative length %d" n;
+    if remaining t < n then fail "truncated: need %d bytes" n;
+    let pos = t.pos in
+    t.pos <- pos + n;
+    pos
 
-  let u16 t =
-    let* () = need t 2 in
-    let v = Bytes.get_uint16_be t.data t.pos in
-    t.pos <- t.pos + 2;
-    Ok v
+  let u8 t = Bytes.get_uint8 t.data (advance t 1)
+
+  let u16 t = Bytes.get_uint16_be t.data (advance t 2)
 
   let u24 t =
-    let* hi = u8 t in
-    let* lo = u16 t in
-    Ok ((hi lsl 16) lor lo)
+    let pos = advance t 3 in
+    (Bytes.get_uint8 t.data pos lsl 16) lor Bytes.get_uint16_be t.data (pos + 1)
 
   let u32 t =
-    let* () = need t 4 in
-    let v = Int32.to_int (Bytes.get_int32_be t.data t.pos) in
-    let v = v land 0xFFFFFFFF in
-    t.pos <- t.pos + 4;
-    Ok v
+    Int32.to_int (Bytes.get_int32_be t.data (advance t 4)) land 0xFFFFFFFF
 
-  let bytes t n =
-    if n < 0 then Error "negative length"
-    else
-      let* () = need t n in
-      let b = Bytes.sub t.data t.pos n in
-      t.pos <- t.pos + n;
-      Ok b
+  let u32_or_max t = match u32 t with 0xFFFFFFFF -> max_int | v -> v
+
+  let bytes t n = Bytes.sub t.data (advance t n) n
+
+  let skip t n = ignore (advance t n)
 
   let bitmap t n =
-    if n < 0 then Error "negative bitmap size"
+    if n < 0 then fail "negative bitmap size %d" n;
+    let pos = advance t ((n + 7) / 8) in
+    Array.init n (fun i ->
+        Bytes.get_uint8 t.data (pos + (i / 8)) land (1 lsl (i mod 8)) <> 0)
+
+  (* A hostile count is refused before anything is allocated for it:
+     [count] elements of at least [elt] bytes each must fit in what is left. *)
+  let array t ~count ~elt read =
+    if count < 0 then fail "negative count %d" count
+    else if count > remaining t / elt then
+      fail "truncated: %d elements of at least %d bytes, %d bytes left" count
+        elt (remaining t)
+    else if count = 0 then [||]
     else begin
-      let byte_count = (n + 7) / 8 in
-      let* raw = bytes t byte_count in
-      Ok
-        (Array.init n (fun i ->
-             let byte = Bytes.get_uint8 raw (i / 8) in
-             byte land (1 lsl (i mod 8)) <> 0))
+      let arr = Array.make count (read t) in
+      for i = 1 to count - 1 do
+        arr.(i) <- read t
+      done;
+      arr
     end
 
-  let expect_end t =
-    if remaining t = 0 then Ok ()
-    else Error (Printf.sprintf "%d trailing bytes" (remaining t))
+  let list t ~count ~elt read = Array.to_list (array t ~count ~elt read)
+
+  let result = function Ok v -> v | Error reason -> fail "%s" reason
 end
+
+let decode read data =
+  let r = { Reader.data; pos = 0 } in
+  match read r with
+  | value ->
+      let trailing = Reader.remaining r in
+      if trailing = 0 then Ok value
+      else Error (Printf.sprintf "%d trailing bytes" trailing)
+  | exception Malformed reason -> Error reason
 
 type 'a codec = {
   encode : 'a -> bytes;
@@ -115,3 +131,21 @@ type 'a codec = {
 
 let string_codec =
   { encode = Bytes.of_string; decode = (fun b -> Ok (Bytes.to_string b)) }
+
+let encode_payload ~who codec ~size value =
+  let raw = codec.encode value in
+  if Bytes.length raw <> size then
+    invalid_arg
+      (Printf.sprintf
+         "%s: declared payload_size %d but the payload encodes to %d bytes" who
+         size (Bytes.length raw));
+  raw
+
+let encode_sized ~who ~size write =
+  let w = Writer.create () in
+  write w;
+  if Writer.length w <> size then
+    invalid_arg
+      (Printf.sprintf "%s: encoded %d bytes but the size model says %d" who
+         (Writer.length w) size);
+  Writer.contents w

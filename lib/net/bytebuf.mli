@@ -1,8 +1,13 @@
-(** Byte-level writer/reader used by the wire codecs.
+(** Byte-level writer/reader and the combinators the wire codecs are built
+    from.
 
-    Big-endian fixed-width integers; the reader returns [Error] instead of
-    raising on truncated or malformed input, so decoding a hostile packet
-    can never take a protocol entity down. *)
+    Big-endian fixed-width integers.  The reader contract: readers are
+    written in direct style and return plain values; on truncated or
+    malformed input (or an explicit {!Reader.fail}) they abort with an
+    exception private to this module.  {!decode} is the only way to run a
+    reader: it turns that abort into [Error] and rejects trailing bytes, so
+    decoding a hostile packet can never take a protocol entity down and no
+    codec repeats an end-of-frame check. *)
 
 module Writer : sig
   type t
@@ -15,7 +20,15 @@ module Writer : sig
   val u32 : t -> int -> unit
   (** Each raises [Invalid_argument] when the value does not fit. *)
 
+  val u32_or_max : t -> int -> unit
+  (** {!u32}, but [max_int] (an accumulator with no bound yet) goes on the
+      wire as [0xFFFFFFFF]. *)
+
   val bytes : t -> bytes -> unit
+
+  val zeros : t -> int -> unit
+  (** [zeros w k] writes [k] zero bytes: pad and reserved fields. *)
+
   val bitmap : t -> bool array -> unit
   (** Packs 8 flags per byte, LSB first, padded to a whole byte. *)
 
@@ -26,31 +39,44 @@ module Writer : sig
       loops can encode one frame per iteration into a single writer
       without re-allocating the buffer each time.  A clear-then-encode
       produces exactly the bytes a fresh writer would. *)
-
-  val reset : t -> unit
-  (** Like {!clear}, but also returns the internal storage to the
-      writer's creation capacity — use when an unusually large frame has
-      ballooned a long-lived writer. *)
 end
 
 module Reader : sig
   type t
 
-  val of_bytes : bytes -> t
   val remaining : t -> int
-  val u8 : t -> (int, string) result
-  val u16 : t -> (int, string) result
-  val u24 : t -> (int, string) result
-  val u32 : t -> (int, string) result
-  val bytes : t -> int -> (bytes, string) result
-  val bitmap : t -> int -> (bool array, string) result
+  val u8 : t -> int
+  val u16 : t -> int
+  val u24 : t -> int
+  val u32 : t -> int
+
+  val u32_or_max : t -> int
+  (** Inverse of {!Writer.u32_or_max}. *)
+
+  val bytes : t -> int -> bytes
+
+  val skip : t -> int -> unit
+  (** Consumes pad and reserved fields without looking at them. *)
+
+  val bitmap : t -> int -> bool array
   (** [bitmap r n] reads [ceil (n/8)] bytes and returns [n] flags. *)
 
-  val expect_end : t -> (unit, string) result
+  val array : t -> count:int -> elt:int -> (t -> 'a) -> 'a array
+  val list : t -> count:int -> elt:int -> (t -> 'a) -> 'a list
+  (** [count] elements, in wire order.  [elt] (> 0) is the fewest bytes
+      one element can occupy: a count that cannot fit in the remaining
+      bytes fails before anything is allocated for it. *)
+
+  val result : ('a, string) result -> 'a
+  (** Unwraps a payload codec's result; [Error reason] fails the read. *)
+
+  val fail : ('a, unit, string, 'b) format4 -> 'a
+  (** Fails the read with a formatted reason. *)
 end
 
-val ( let* ) :
-  ('a, string) result -> ('a -> ('b, string) result) -> ('b, string) result
+val decode : (Reader.t -> 'a) -> bytes -> ('a, string) result
+(** [decode read raw] runs [read] over all of [raw]: [Ok] only when it
+    succeeds and consumes every byte. *)
 
 type 'a codec = {
   encode : 'a -> bytes;
@@ -59,3 +85,13 @@ type 'a codec = {
 (** Payload codec threaded through the protocol wire codecs. *)
 
 val string_codec : string codec
+
+val encode_payload : who:string -> 'a codec -> size:int -> 'a -> bytes
+(** The payload's encoding; raises [Invalid_argument] (naming [who]) when
+    its length differs from the declared [payload_size] [size], since the
+    size accounting would silently lie otherwise. *)
+
+val encode_sized : who:string -> size:int -> (Writer.t -> unit) -> bytes
+(** Runs a body writer on a fresh writer; raises [Invalid_argument]
+    (naming [who]) when the body's length differs from its size model
+    [size]. *)

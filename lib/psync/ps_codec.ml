@@ -1,8 +1,6 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 let tag_msg = 1
 let tag_retrans_req = 2
 let tag_retrans_reply = 3
@@ -11,27 +9,22 @@ let tag_mask_out = 5
 let tag_mask_ack = 6
 let tag_mask_done = 7
 
-(* mid: sender u32 | seq u32 — 8 bytes, as Wire's size model assumes. *)
+(* mid: the 8-byte Causal.Mid layout, as Wire's size model assumes. *)
 let write_mid w (mid : Context_graph.mid) =
-  W.u32 w (Net.Node_id.to_int mid.sender);
-  W.u32 w mid.seq
+  Causal.Mid.write w { Causal.Mid.origin = mid.sender; seq = mid.seq }
 
 let read_mid r =
-  let* sender = R.u32 r in
-  let* seq = R.u32 r in
-  if seq < 1 then Error "psync mid: seq must be >= 1"
-  else Ok { Context_graph.sender = Net.Node_id.of_int sender; seq }
+  let { Causal.Mid.origin; seq } = Causal.Mid.read r in
+  { Context_graph.sender = origin; seq }
 
 (* node: tag u8 | sender u24 | seq u32 | pred count u16 | payload len u16
    | preds (8 each) | payload.  Total = 8 + 8 |preds| + 4 + payload
    = Wire.node_size. *)
 let write_node payload w (node : 'a Context_graph.node) =
-  let body = payload.Net.Bytebuf.encode node.payload in
-  if Bytes.length body <> node.payload_size then
-    invalid_arg
-      (Printf.sprintf
-         "Ps_codec: declared payload_size %d but the payload encodes to %d"
-         node.payload_size (Bytes.length body));
+  let body =
+    Net.Bytebuf.encode_payload ~who:"Ps_codec" payload
+      ~size:node.payload_size node.payload
+  in
   W.u8 w tag_msg;
   W.u24 w (Net.Node_id.to_int node.mid.sender);
   W.u32 w node.mid.seq;
@@ -40,118 +33,78 @@ let write_node payload w (node : 'a Context_graph.node) =
   List.iter (write_mid w) node.preds;
   W.bytes w body
 
+(* The tag has been consumed by the caller. *)
 let read_node payload r =
-  let* sender = R.u24 r in
-  let* seq = R.u32 r in
-  let* pred_count = R.u16 r in
-  let* payload_len = R.u16 r in
-  if seq < 1 then Error "psync msg: seq must be >= 1"
-  else begin
-    let rec read_preds k acc =
-      if k = 0 then Ok (List.rev acc)
-      else
-        let* mid = read_mid r in
-        read_preds (k - 1) (mid :: acc)
-    in
-    let* preds = read_preds pred_count [] in
-    let* raw = R.bytes r payload_len in
-    let* value = payload.Net.Bytebuf.decode raw in
-    Ok
-      {
-        Context_graph.mid = { sender = Net.Node_id.of_int sender; seq };
-        preds;
-        payload = value;
-        payload_size = payload_len;
-      }
-  end
+  let sender = Net.Node_id.of_int (R.u24 r) in
+  let seq = R.u32 r in
+  let pred_count = R.u16 r in
+  let payload_len = R.u16 r in
+  if seq < 1 then R.fail "psync msg: seq must be >= 1";
+  let preds =
+    R.list r ~count:pred_count ~elt:Causal.Mid.encoded_size read_mid
+  in
+  let value = R.result (payload.Net.Bytebuf.decode (R.bytes r payload_len)) in
+  {
+    Context_graph.mid = { sender; seq };
+    preds;
+    payload = value;
+    payload_size = payload_len;
+  }
 
 let encode_body payload body =
-  let w = W.create () in
-  (match body with
-  | Wire.Msg node -> write_node payload w node
-  | Wire.Retrans_req { requester; wanted } ->
-      W.u8 w tag_retrans_req;
-      W.u24 w (Net.Node_id.to_int requester);
-      write_mid w wanted
-  | Wire.Retrans_reply node ->
-      W.u8 w tag_retrans_reply;
-      W.u24 w 0;
-      write_node payload w node
-  | Wire.Keepalive ->
-      W.u8 w tag_keepalive;
-      W.u24 w 0;
-      W.u32 w 0
-  | Wire.Mask_out { target; initiator } ->
-      W.u8 w tag_mask_out;
-      W.u24 w (Net.Node_id.to_int initiator);
-      W.u32 w (Net.Node_id.to_int target);
-      W.u32 w 0
-  | Wire.Mask_ack { target } ->
-      W.u8 w tag_mask_ack;
-      W.u24 w 0;
-      W.u32 w (Net.Node_id.to_int target)
-  | Wire.Mask_done { target } ->
-      W.u8 w tag_mask_done;
-      W.u24 w 0;
-      W.u32 w (Net.Node_id.to_int target));
-  let raw = W.contents w in
-  let expected = Wire.body_size body in
-  if Bytes.length raw <> expected then
-    invalid_arg
-      (Printf.sprintf "Ps_codec: encoded %d bytes, size model says %d"
-         (Bytes.length raw) expected);
-  raw
+  Net.Bytebuf.encode_sized ~who:"Ps_codec" ~size:(Wire.body_size body)
+    (fun w ->
+      match body with
+      | Wire.Msg node -> write_node payload w node
+      | Wire.Retrans_req { requester; wanted } ->
+          W.u8 w tag_retrans_req;
+          W.u24 w (Net.Node_id.to_int requester);
+          write_mid w wanted
+      | Wire.Retrans_reply node ->
+          W.u8 w tag_retrans_reply;
+          W.zeros w 3;
+          write_node payload w node
+      | Wire.Keepalive ->
+          W.u8 w tag_keepalive;
+          W.zeros w 7
+      | Wire.Mask_out { target; initiator } ->
+          W.u8 w tag_mask_out;
+          W.u24 w (Net.Node_id.to_int initiator);
+          W.u32 w (Net.Node_id.to_int target);
+          W.zeros w 4
+      | Wire.Mask_ack { target } ->
+          W.u8 w tag_mask_ack;
+          W.zeros w 3;
+          W.u32 w (Net.Node_id.to_int target)
+      | Wire.Mask_done { target } ->
+          W.u8 w tag_mask_done;
+          W.zeros w 3;
+          W.u32 w (Net.Node_id.to_int target))
 
-let decode_body payload raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_msg then
-    let* node = read_node payload r in
-    let* () = R.expect_end r in
-    Ok (Wire.Msg node)
-  else if tag = tag_retrans_req then begin
-    let* requester = R.u24 r in
-    let* wanted = read_mid r in
-    let* () = R.expect_end r in
-    Ok (Wire.Retrans_req { requester = Net.Node_id.of_int requester; wanted })
-  end
-  else if tag = tag_retrans_reply then begin
-    let* _pad = R.u24 r in
-    let* inner_tag = R.u8 r in
-    if inner_tag <> tag_msg then Error "retrans-reply: expected a message"
-    else
-      let* node = read_node payload r in
-      let* () = R.expect_end r in
-      Ok (Wire.Retrans_reply node)
-  end
-  else if tag = tag_keepalive then begin
-    let* _pad = R.u24 r in
-    let* _reserved = R.u32 r in
-    let* () = R.expect_end r in
-    Ok Wire.Keepalive
-  end
-  else if tag = tag_mask_out then begin
-    let* initiator = R.u24 r in
-    let* target = R.u32 r in
-    let* _reserved = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Wire.Mask_out
-         {
-           target = Net.Node_id.of_int target;
-           initiator = Net.Node_id.of_int initiator;
-         })
-  end
-  else if tag = tag_mask_ack then begin
-    let* _pad = R.u24 r in
-    let* target = R.u32 r in
-    let* () = R.expect_end r in
-    Ok (Wire.Mask_ack { target = Net.Node_id.of_int target })
-  end
-  else if tag = tag_mask_done then begin
-    let* _pad = R.u24 r in
-    let* target = R.u32 r in
-    let* () = R.expect_end r in
-    Ok (Wire.Mask_done { target = Net.Node_id.of_int target })
-  end
-  else Error (Printf.sprintf "unknown psync tag %d" tag)
+let read_target r =
+  R.skip r 3;
+  Net.Node_id.of_int (R.u32 r)
+
+let read_body payload r =
+  match R.u8 r with
+  | tag when tag = tag_msg -> Wire.Msg (read_node payload r)
+  | tag when tag = tag_retrans_req ->
+      let requester = Net.Node_id.of_int (R.u24 r) in
+      Wire.Retrans_req { requester; wanted = read_mid r }
+  | tag when tag = tag_retrans_reply ->
+      R.skip r 3;
+      if R.u8 r <> tag_msg then R.fail "retrans-reply: expected a message";
+      Wire.Retrans_reply (read_node payload r)
+  | tag when tag = tag_keepalive ->
+      R.skip r 7;
+      Wire.Keepalive
+  | tag when tag = tag_mask_out ->
+      let initiator = Net.Node_id.of_int (R.u24 r) in
+      let target = Net.Node_id.of_int (R.u32 r) in
+      R.skip r 4;
+      Wire.Mask_out { target; initiator }
+  | tag when tag = tag_mask_ack -> Wire.Mask_ack { target = read_target r }
+  | tag when tag = tag_mask_done -> Wire.Mask_done { target = read_target r }
+  | tag -> R.fail "unknown psync tag %d" tag
+
+let decode_body payload raw = Net.Bytebuf.decode (read_body payload) raw

@@ -1,61 +1,48 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 let tag_data = 1
 let tag_request = 2
 let tag_decision = 3
 let tag_recover_req = 4
 let tag_recover_reply = 5
 
-let u32_sentinel = 0xFFFFFFFF
-
-let write_mid w mid =
-  W.u32 w (Net.Node_id.to_int (Causal.Mid.origin mid));
-  W.u32 w (Causal.Mid.seq mid)
-
-let read_mid r =
-  let* origin = R.u32 r in
-  let* seq = R.u32 r in
-  if seq < 1 then Error "mid: seq must be >= 1"
-  else Ok (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
-
 (* data: tag u8 | origin u24 | seq u32 | payload len u16 | pad u16 | payload
    — 8 + 4 + payload = Total_wire.data_size. *)
+let data_header = 12
+
 let write_data payload w (d : 'a Total_wire.data) =
-  let body = payload.Net.Bytebuf.encode d.payload in
-  if Bytes.length body <> d.payload_size then
-    invalid_arg "Tw_codec: payload encoding disagrees with payload_size";
+  let body =
+    Net.Bytebuf.encode_payload ~who:"Tw_codec" payload ~size:d.payload_size
+      d.payload
+  in
   W.u8 w tag_data;
   W.u24 w (Net.Node_id.to_int (Causal.Mid.origin d.mid));
   W.u32 w (Causal.Mid.seq d.mid);
   W.u16 w (Bytes.length body);
-  W.u16 w 0;
+  W.zeros w 2;
   W.bytes w body
 
+(* The tag has been consumed by the caller. *)
 let read_data payload r =
-  let* origin = R.u24 r in
-  let* seq = R.u32 r in
-  let* payload_len = R.u16 r in
-  let* _pad = R.u16 r in
-  if seq < 1 then Error "data: seq must be >= 1"
-  else
-    let* raw = R.bytes r payload_len in
-    let* value = payload.Net.Bytebuf.decode raw in
-    Ok
-      {
-        Total_wire.mid =
-          Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq;
-        payload = value;
-        payload_size = payload_len;
-      }
+  let origin = R.u24 r in
+  let seq = R.u32 r in
+  let payload_len = R.u16 r in
+  R.skip r 2;
+  if seq < 1 then R.fail "data: seq must be >= 1";
+  let value = R.result (payload.Net.Bytebuf.decode (R.bytes r payload_len)) in
+  {
+    Total_wire.mid = Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq;
+    payload = value;
+    payload_size = payload_len;
+  }
 
-(* decision: subrun+1 u32 | coordinator u32 | next_seq u32 | first u32 |
-   stable u32 | flags u8 | window count... wait — the size model is
-   17 + 8 |assignments| + 6n + 2 ceil(n/8); encode to match exactly:
-     (4+4+4+4+4+1) = 21?  Total_decision.encoded_size =
-     4+4+4+4+4+1 + 8 w + 2n + 4n + 2 bitmaps.  *)
+(* decision (= Total_decision.encoded_size):
+     subrun+1 u32 | coordinator u32 | next_seq u32 | first_assigned u32 |
+     stable_seq u32 | flags u8
+     assignments: (next_seq - first_assigned) mids, 8 bytes each
+     attempts: n x u16 | acc_processed: n x u32 (via u32_or_max)
+     alive bitmap | heard bitmap *)
 let write_decision w (d : Total_decision.t) =
   W.u32 w (d.subrun + 1);
   W.u32 w (Net.Node_id.to_int d.coordinator);
@@ -63,168 +50,116 @@ let write_decision w (d : Total_decision.t) =
   W.u32 w d.first_assigned;
   W.u32 w d.stable_seq;
   W.u8 w (if d.full_group then 1 else 0);
-  Array.iter (write_mid w) d.assignments;
+  Array.iter (Causal.Mid.write w) d.assignments;
   Array.iter (W.u16 w) d.attempts;
-  Array.iter
-    (fun v -> W.u32 w (if v = max_int then u32_sentinel else v))
-    d.acc_processed;
+  Array.iter (W.u32_or_max w) d.acc_processed;
   W.bitmap w d.alive;
   W.bitmap w d.heard
 
-let read_vec r n read_one =
-  let rec loop k acc =
-    if k = 0 then Ok (Array.of_list (List.rev acc))
-    else
-      let* v = read_one r in
-      loop (k - 1) (v :: acc)
-  in
-  loop n []
-
 let read_decision ~n r =
-  let* subrun_plus1 = R.u32 r in
-  let* coordinator = R.u32 r in
-  let* next_seq = R.u32 r in
-  let* first_assigned = R.u32 r in
-  let* stable_seq = R.u32 r in
-  let* flags = R.u8 r in
+  let subrun_plus1 = R.u32 r in
+  let coordinator = Net.Node_id.of_int (R.u32 r) in
+  let next_seq = R.u32 r in
+  let first_assigned = R.u32 r in
+  let stable_seq = R.u32 r in
+  let flags = R.u8 r in
   let window = next_seq - first_assigned in
-  if window < 0 then Error "decision: negative assignment window"
-  else
-    let* assignments = read_vec r window read_mid in
-    let* attempts = read_vec r n R.u16 in
-    let* acc_raw = read_vec r n R.u32 in
-    let* alive = R.bitmap r n in
-    let* heard = R.bitmap r n in
-    Ok
-      {
-        Total_decision.subrun = subrun_plus1 - 1;
-        coordinator = Net.Node_id.of_int coordinator;
-        next_seq;
-        first_assigned;
-        assignments;
-        stable_seq;
-        full_group = flags land 1 <> 0;
-        attempts;
-        alive;
-        heard;
-        acc_processed =
-          Array.map (fun v -> if v = u32_sentinel then max_int else v) acc_raw;
-      }
+  if window < 0 then R.fail "decision: negative assignment window";
+  let assignments =
+    R.array r ~count:window ~elt:Causal.Mid.encoded_size Causal.Mid.read
+  in
+  let attempts = R.array r ~count:n ~elt:2 R.u16 in
+  let acc_processed = R.array r ~count:n ~elt:4 R.u32_or_max in
+  let alive = R.bitmap r n in
+  let heard = R.bitmap r n in
+  {
+    Total_decision.subrun = subrun_plus1 - 1;
+    coordinator;
+    next_seq;
+    first_assigned;
+    assignments;
+    stable_seq;
+    full_group = flags land 1 <> 0;
+    attempts;
+    alive;
+    heard;
+    acc_processed;
+  }
 
-(* request: tag u8 | sender u16 | pad u8 | subrun u32 | processed u32 |
-   unsequenced count... size model: 4 + 4 + 4 + 8 |unsequenced| + decision
-   — count derives from total? No: unsequenced count must be explicit.
-   The size model allots 4+4+4 = 12 fixed bytes: tag u8 | sender u16 |
-   count u8?? count can exceed 255... use: tag u8 | sender u24 | subrun u32
-   | processed u16 | count u16.  processed u16 caps at 65535 messages —
-   acceptable for simulation but enforce. *)
+(* request (= 4 + 4 + 4 + 8 |unsequenced| + decision):
+     tag u8 | sender u24 | subrun u32 | processed_upto u16 | count u16
+     unsequenced mids, 8 bytes each | piggybacked decision
+   processed_upto is a u16: the encoder refuses a run past 65535
+   globally sequenced messages. *)
 let write_request w (r : Total_wire.request) =
   W.u8 w tag_request;
   W.u24 w (Net.Node_id.to_int r.sender);
   W.u32 w r.subrun;
   W.u16 w r.processed_upto;
   W.u16 w (List.length r.unsequenced);
-  List.iter (write_mid w) r.unsequenced;
+  List.iter (Causal.Mid.write w) r.unsequenced;
   write_decision w r.prev_decision
 
 let read_request ~n r =
-  let* sender = R.u24 r in
-  let* subrun = R.u32 r in
-  let* processed_upto = R.u16 r in
-  let* count = R.u16 r in
-  let rec read_mids k acc =
-    if k = 0 then Ok (List.rev acc)
-    else
-      let* mid = read_mid r in
-      read_mids (k - 1) (mid :: acc)
+  let sender = Net.Node_id.of_int (R.u24 r) in
+  let subrun = R.u32 r in
+  let processed_upto = R.u16 r in
+  let count = R.u16 r in
+  let unsequenced =
+    R.list r ~count ~elt:Causal.Mid.encoded_size Causal.Mid.read
   in
-  let* unsequenced = read_mids count [] in
-  let* prev_decision = read_decision ~n r in
-  Ok
-    {
-      Total_wire.sender = Net.Node_id.of_int sender;
-      subrun;
-      unsequenced;
-      processed_upto;
-      prev_decision;
-    }
+  let prev_decision = read_decision ~n r in
+  { Total_wire.sender; subrun; unsequenced; processed_upto; prev_decision }
 
 let encode_body payload body =
-  let w = W.create () in
-  (match body with
-  | Total_wire.Data d -> write_data payload w d
-  | Total_wire.Request r -> write_request w r
-  | Total_wire.Decision_pdu d ->
-      W.u8 w tag_decision;
-      W.u24 w 0;
-      write_decision w d
-  | Total_wire.Recover_req { requester; from_seq; to_seq } ->
-      W.u8 w tag_recover_req;
-      W.u24 w (Net.Node_id.to_int requester);
-      W.u32 w from_seq;
-      W.u32 w to_seq;
-      W.u32 w 0
-  | Total_wire.Recover_reply { responder; messages } ->
-      W.u8 w tag_recover_reply;
-      W.u24 w (Net.Node_id.to_int responder);
-      W.u32 w (List.length messages);
-      List.iter
-        (fun (seq, d) ->
-          W.u32 w seq;
-          write_data payload w d)
-        messages);
-  let raw = W.contents w in
-  let expected = Total_wire.body_size body in
-  if Bytes.length raw <> expected then
-    invalid_arg
-      (Printf.sprintf "Tw_codec: encoded %d bytes, size model says %d"
-         (Bytes.length raw) expected);
-  raw
+  Net.Bytebuf.encode_sized ~who:"Tw_codec" ~size:(Total_wire.body_size body)
+    (fun w ->
+      match body with
+      | Total_wire.Data d -> write_data payload w d
+      | Total_wire.Request r -> write_request w r
+      | Total_wire.Decision_pdu d ->
+          W.u8 w tag_decision;
+          W.zeros w 3;
+          write_decision w d
+      | Total_wire.Recover_req { requester; from_seq; to_seq } ->
+          W.u8 w tag_recover_req;
+          W.u24 w (Net.Node_id.to_int requester);
+          W.u32 w from_seq;
+          W.u32 w to_seq;
+          W.zeros w 4
+      | Total_wire.Recover_reply { responder; messages } ->
+          W.u8 w tag_recover_reply;
+          W.u24 w (Net.Node_id.to_int responder);
+          W.u32 w (List.length messages);
+          List.iter
+            (fun (seq, d) ->
+              W.u32 w seq;
+              write_data payload w d)
+            messages)
 
-let decode_body payload ~n raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_data then
-    let* d = read_data payload r in
-    let* () = R.expect_end r in
-    Ok (Total_wire.Data d)
-  else if tag = tag_request then
-    let* request = read_request ~n r in
-    let* () = R.expect_end r in
-    Ok (Total_wire.Request request)
-  else if tag = tag_decision then begin
-    let* _pad = R.u24 r in
-    let* d = read_decision ~n r in
-    let* () = R.expect_end r in
-    Ok (Total_wire.Decision_pdu d)
-  end
-  else if tag = tag_recover_req then begin
-    let* requester = R.u24 r in
-    let* from_seq = R.u32 r in
-    let* to_seq = R.u32 r in
-    let* _reserved = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Total_wire.Recover_req
-         { requester = Net.Node_id.of_int requester; from_seq; to_seq })
-  end
-  else if tag = tag_recover_reply then begin
-    let* responder = R.u24 r in
-    let* count = R.u32 r in
-    let rec read_messages k acc =
-      if k = 0 then Ok (List.rev acc)
-      else
-        let* seq = R.u32 r in
-        let* inner_tag = R.u8 r in
-        if inner_tag <> tag_data then Error "recover-reply: expected data"
-        else
-          let* d = read_data payload r in
-          read_messages (k - 1) ((seq, d) :: acc)
-    in
-    let* messages = read_messages count [] in
-    let* () = R.expect_end r in
-    Ok
-      (Total_wire.Recover_reply
-         { responder = Net.Node_id.of_int responder; messages })
-  end
-  else Error (Printf.sprintf "unknown urgc tag %d" tag)
+let read_body payload ~n r =
+  match R.u8 r with
+  | tag when tag = tag_data -> Total_wire.Data (read_data payload r)
+  | tag when tag = tag_request -> Total_wire.Request (read_request ~n r)
+  | tag when tag = tag_decision ->
+      R.skip r 3;
+      Total_wire.Decision_pdu (read_decision ~n r)
+  | tag when tag = tag_recover_req ->
+      let requester = Net.Node_id.of_int (R.u24 r) in
+      let from_seq = R.u32 r in
+      let to_seq = R.u32 r in
+      R.skip r 4;
+      Total_wire.Recover_req { requester; from_seq; to_seq }
+  | tag when tag = tag_recover_reply ->
+      let responder = Net.Node_id.of_int (R.u24 r) in
+      let count = R.u32 r in
+      let messages =
+        R.list r ~count ~elt:(4 + data_header) (fun r ->
+            let seq = R.u32 r in
+            if R.u8 r <> tag_data then R.fail "recover-reply: expected data";
+            (seq, read_data payload r))
+      in
+      Total_wire.Recover_reply { responder; messages }
+  | tag -> R.fail "unknown urgc tag %d" tag
+
+let decode_body payload ~n raw = Net.Bytebuf.decode (read_body payload ~n) raw

@@ -1,47 +1,10 @@
 (* CBCAST codec tests: encoded length = Cb_wire.body_size (the measurement
    behind Table 1's CBCAST rows), lossless roundtrips, hostile input. *)
 
-let node n = Net.Node_id.of_int n
-let payload = Net.Bytebuf.string_codec
-
-let vt arr = Cbcast.Vclock.of_array arr
-
-let data ?(view = 0) sender vt_arr text =
-  {
-    Cbcast.Cb_wire.sender = node sender;
-    view_id = view;
-    vt = vt vt_arr;
-    payload = text;
-    payload_size = String.length text;
-  }
-
-let bodies : string Cbcast.Cb_wire.body list =
-  [
-    Cbcast.Cb_wire.Data (data 1 [| 0; 3; 0; 0; 2 |] "payload!");
-    Cbcast.Cb_wire.Heartbeat { vt = vt [| 1; 2; 3; 4; 5 |] };
-    Cbcast.Cb_wire.Token { initiator = node 2; acc = vt [| 9; 9; 9; 9; 9 |] };
-    Cbcast.Cb_wire.Stability { vt = vt [| 4; 4; 4; 4; 4 |] };
-    Cbcast.Cb_wire.Suspect { suspect = node 3; reporter = node 0 };
-    Cbcast.Cb_wire.Flush_req
-      {
-        view_id = 2;
-        members = [| true; true; false; true; true |];
-        coordinator = node 0;
-      };
-    Cbcast.Cb_wire.Flush_unstable
-      {
-        view_id = 2;
-        sender = node 4;
-        msgs = [ data 4 [| 0; 0; 0; 0; 1 |] "a"; data 4 [| 0; 0; 0; 0; 2 |] "" ];
-      };
-    Cbcast.Cb_wire.Flush_unstable { view_id = 2; sender = node 4; msgs = [] };
-    Cbcast.Cb_wire.New_view
-      {
-        view_id = 2;
-        members = [| true; true; false; true; true |];
-        retransmit = [ data 1 [| 0; 7; 0; 0; 0 |] "late one" ];
-      };
-  ]
+let node = Codec_samples.node
+let payload = Codec_samples.payload
+let data = Codec_samples.cb_data
+let bodies = List.map snd Codec_samples.cbcast_bodies
 
 let size_tests =
   [

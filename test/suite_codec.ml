@@ -3,55 +3,13 @@
    formulas), roundtrips must be lossless, and hostile input must be
    rejected with Error, never an exception. *)
 
-let node n = Net.Node_id.of_int n
-let mid o s = Causal.Mid.make ~origin:(node o) ~seq:s
+open Codec_samples
+module W = Net.Bytebuf.Writer
+module R = Net.Bytebuf.Reader
 
-let payload = Urcgc.Wire_codec.string_payload
-
-let msg ?(deps = []) o s text =
-  Causal.Causal_msg.make ~mid:(mid o s) ~deps ~payload_size:(String.length text)
-    text
-
-let sample_decision n =
-  {
-    Urcgc.Decision.subrun = 7;
-    coordinator = node (n - 1);
-    full_group = true;
-    stable = Array.init n (fun i -> i * 3);
-    max_processed = Array.init n (fun i -> (i * 5) + 1);
-    most_updated = Array.init n (fun i -> node ((i + 1) mod n));
-    min_waiting = Array.init n (fun i -> if i mod 2 = 0 then 0 else i);
-    attempts = Array.init n (fun i -> i mod 3);
-    alive = Array.init n (fun i -> i mod 4 <> 3);
-    heard = Array.init n (fun i -> i mod 2 = 0);
-    acc_stable = Array.init n (fun i -> if i = 0 then max_int else i);
-    acc_min_waiting = Array.init n (fun i -> i);
-  }
-
-let sample_request n =
-  {
-    Urcgc.Wire.sender = node 2;
-    subrun = 9;
-    last_processed = Array.init n (fun i -> i * 2);
-    waiting =
-      Array.init n (fun i -> if i mod 3 = 0 then Some (mid i (i + 1)) else None);
-    prev_decision = sample_decision n;
-  }
-
-let bodies n : string Urcgc.Wire.body list =
-  [
-    Urcgc.Wire.Data (msg 1 4 "hello world");
-    Urcgc.Wire.Data (msg ~deps:[ mid 0 2; mid 2 9 ] 1 5 "");
-    Urcgc.Wire.Request (sample_request n);
-    Urcgc.Wire.Decision_pdu (sample_decision n);
-    Urcgc.Wire.Recover_req
-      { requester = node 0; origin = node 3; from_seq = 4; to_seq = 19 };
-    Urcgc.Wire.Recover_reply
-      {
-        responder = node 1;
-        messages = [ msg 3 1 "a"; msg ~deps:[ mid 3 1 ] 3 2 "bb" ];
-      };
-  ]
+let msg = urcgc_msg
+let sample_decision = urcgc_decision
+let bodies n = List.map snd (urcgc_bodies n)
 
 let bytes_t =
   Alcotest.testable
@@ -107,9 +65,7 @@ let roundtrip_tests =
     Alcotest.test_case "decision fields survive the roundtrip" `Quick (fun () ->
         let d = sample_decision 7 in
         let raw = Urcgc.Wire_codec.encode_decision d in
-        match
-          Urcgc.Wire_codec.decode_decision ~n:7 (Net.Bytebuf.Reader.of_bytes raw)
-        with
+        match Urcgc.Wire_codec.decode_decision ~n:7 raw with
         | Error e -> Alcotest.failf "decode: %s" e
         | Ok d' ->
             Alcotest.(check int) "subrun" d.Urcgc.Decision.subrun
@@ -153,15 +109,15 @@ let hostile_tests =
         | Ok _ -> Alcotest.fail "accepted trailing bytes");
     Alcotest.test_case "zero sequence number is rejected" `Quick (fun () ->
         (* Hand-craft a data PDU with seq = 0. *)
-        let w = Net.Bytebuf.Writer.create () in
-        Net.Bytebuf.Writer.u8 w 1;
-        Net.Bytebuf.Writer.u24 w 0;
-        Net.Bytebuf.Writer.u32 w 0;
-        Net.Bytebuf.Writer.u16 w 0;
-        Net.Bytebuf.Writer.u16 w 0;
+        let w = W.create () in
+        W.u8 w 1;
+        W.u24 w 0;
+        W.u32 w 0;
+        W.u16 w 0;
+        W.u16 w 0;
         match
           Urcgc.Wire_codec.decode_body payload ~n:5
-            (Net.Bytebuf.Writer.contents w)
+            (W.contents w)
         with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted seq 0");
@@ -171,67 +127,80 @@ let hostile_tests =
         | Ok _ -> Alcotest.fail "accepted empty input");
   ]
 
+let decoded = function Ok v -> v | Error e -> Alcotest.fail e
+
+let is_error = function Ok _ -> false | Error _ -> true
+
+let written write =
+  let w = W.create () in
+  write w;
+  W.contents w
+
+let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+
 let bytebuf_tests =
   [
     Alcotest.test_case "integers roundtrip at width boundaries" `Quick
       (fun () ->
-        let w = Net.Bytebuf.Writer.create () in
-        Net.Bytebuf.Writer.u8 w 255;
-        Net.Bytebuf.Writer.u16 w 65535;
-        Net.Bytebuf.Writer.u24 w 0xFFFFFF;
-        Net.Bytebuf.Writer.u32 w 0xFFFFFFFF;
-        let r = Net.Bytebuf.Reader.of_bytes (Net.Bytebuf.Writer.contents w) in
-        let ok v = match v with Ok x -> x | Error e -> Alcotest.fail e in
-        Alcotest.(check int) "u8" 255 (ok (Net.Bytebuf.Reader.u8 r));
-        Alcotest.(check int) "u16" 65535 (ok (Net.Bytebuf.Reader.u16 r));
-        Alcotest.(check int) "u24" 0xFFFFFF (ok (Net.Bytebuf.Reader.u24 r));
-        Alcotest.(check int) "u32" 0xFFFFFFFF (ok (Net.Bytebuf.Reader.u32 r)));
+        let raw =
+          written (fun w ->
+              W.u8 w 255;
+              W.u16 w 65535;
+              W.u24 w 0xFFFFFF;
+              W.u32 w 0xFFFFFFFF)
+        in
+        let read r =
+          let a = R.u8 r in
+          let b = R.u16 r in
+          let c = R.u24 r in
+          let d = R.u32 r in
+          (a, b, c, d)
+        in
+        let a, b, c, d = decoded (Net.Bytebuf.decode read raw) in
+        Alcotest.(check int) "u8" 255 a;
+        Alcotest.(check int) "u16" 65535 b;
+        Alcotest.(check int) "u24" 0xFFFFFF c;
+        Alcotest.(check int) "u32" 0xFFFFFFFF d);
     Alcotest.test_case "writer rejects out-of-range" `Quick (fun () ->
-        let w = Net.Bytebuf.Writer.create () in
+        let w = W.create () in
         Alcotest.(check bool) "u8 256" true
           (try
-             Net.Bytebuf.Writer.u8 w 256;
+             W.u8 w 256;
              false
            with Invalid_argument _ -> true);
         Alcotest.(check bool) "negative" true
           (try
-             Net.Bytebuf.Writer.u16 w (-1);
+             W.u16 w (-1);
              false
            with Invalid_argument _ -> true));
     Alcotest.test_case "bitmap roundtrips odd sizes" `Quick (fun () ->
         List.iter
           (fun n ->
             let flags = Array.init n (fun i -> i mod 3 = 0) in
-            let w = Net.Bytebuf.Writer.create () in
-            Net.Bytebuf.Writer.bitmap w flags;
-            Alcotest.(check int) "packed size" ((n + 7) / 8)
-              (Net.Bytebuf.Writer.length w);
-            let r =
-              Net.Bytebuf.Reader.of_bytes (Net.Bytebuf.Writer.contents w)
-            in
-            match Net.Bytebuf.Reader.bitmap r n with
-            | Ok flags' -> Alcotest.(check (array bool)) "flags" flags flags'
-            | Error e -> Alcotest.fail e)
+            let w = W.create () in
+            W.bitmap w flags;
+            Alcotest.(check int) "packed size" ((n + 7) / 8) (W.length w);
+            Alcotest.(check (array bool)) "flags" flags
+              (decoded
+                 (Net.Bytebuf.decode (fun r -> R.bitmap r n) (W.contents w))))
           [ 1; 7; 8; 9; 15; 40 ]);
     (let encode w i =
        (* A representative mixed-width frame, parameterized so successive
           encodes into a reused writer produce different bytes. *)
-       Net.Bytebuf.Writer.u8 w (i land 0xFF);
-       Net.Bytebuf.Writer.u16 w (i * 7);
-       Net.Bytebuf.Writer.u24 w (i * 131);
-       Net.Bytebuf.Writer.u32 w (i * 65537);
-       Net.Bytebuf.Writer.bytes w (Bytes.make 5 (Char.chr (97 + (i mod 26))));
-       Net.Bytebuf.Writer.bitmap w (Array.init 11 (fun b -> (b + i) mod 2 = 0));
-       Net.Bytebuf.Writer.contents w
+       W.u8 w (i land 0xFF);
+       W.u16 w (i * 7);
+       W.u24 w (i * 131);
+       W.u32 w (i * 65537);
+       W.bytes w (Bytes.make 5 (Char.chr (97 + (i mod 26))));
+       W.bitmap w (Array.init 11 (fun b -> (b + i) mod 2 = 0));
+       W.contents w
      in
-     Alcotest.test_case "clear/reset-then-encode matches a fresh writer"
-       `Quick (fun () ->
-         let reused = Net.Bytebuf.Writer.create ~capacity:8 () in
+     Alcotest.test_case "clear-then-encode matches a fresh writer" `Quick
+       (fun () ->
+         let reused = W.create ~capacity:8 () in
          for i = 0 to 40 do
-           (* Alternate both reuse flavours across iterations. *)
-           if i mod 2 = 0 then Net.Bytebuf.Writer.clear reused
-           else Net.Bytebuf.Writer.reset reused;
-           let fresh = Net.Bytebuf.Writer.create () in
+           W.clear reused;
+           let fresh = W.create () in
            let expected = encode fresh i in
            let got = encode reused i in
            Alcotest.(check bool)
@@ -239,17 +208,110 @@ let bytebuf_tests =
              true
              (Bytes.equal expected got)
          done));
-    Alcotest.test_case "clear and reset empty the writer" `Quick (fun () ->
-        let w = Net.Bytebuf.Writer.create () in
-        Net.Bytebuf.Writer.u32 w 0xDEADBEEF;
-        Alcotest.(check int) "filled" 4 (Net.Bytebuf.Writer.length w);
-        Net.Bytebuf.Writer.clear w;
-        Alcotest.(check int) "cleared" 0 (Net.Bytebuf.Writer.length w);
-        Alcotest.(check int) "empty contents" 0
-          (Bytes.length (Net.Bytebuf.Writer.contents w));
-        Net.Bytebuf.Writer.u8 w 7;
-        Net.Bytebuf.Writer.reset w;
-        Alcotest.(check int) "reset" 0 (Net.Bytebuf.Writer.length w));
+    Alcotest.test_case "clear empties the writer" `Quick (fun () ->
+        let w = W.create () in
+        W.u32 w 0xDEADBEEF;
+        Alcotest.(check int) "filled" 4 (W.length w);
+        W.clear w;
+        Alcotest.(check int) "cleared" 0 (W.length w);
+        Alcotest.(check int) "empty contents" 0 (Bytes.length (W.contents w)));
+    Alcotest.test_case "decode rejects truncation and trailing bytes" `Quick
+      (fun () ->
+        let read r = R.u16 r in
+        Alcotest.(check int) "exact" 0x0102
+          (decoded (Net.Bytebuf.decode read (Bytes.of_string "\001\002")));
+        Alcotest.(check bool) "short" true
+          (is_error (Net.Bytebuf.decode read (Bytes.of_string "\001")));
+        Alcotest.(check bool) "long" true
+          (is_error
+             (Net.Bytebuf.decode read (Bytes.of_string "\001\002\003"))));
+    Alcotest.test_case "zeros and skip frame pad fields" `Quick (fun () ->
+        let raw =
+          written (fun w ->
+              W.u8 w 7;
+              W.zeros w 3;
+              W.u8 w 9)
+        in
+        Alcotest.(check string) "wire" "\007\000\000\000\009"
+          (Bytes.to_string raw);
+        let read r =
+          let a = R.u8 r in
+          R.skip r 3;
+          (a, R.u8 r)
+        in
+        Alcotest.(check (pair int int)) "fields" (7, 9)
+          (decoded (Net.Bytebuf.decode read raw));
+        Alcotest.(check bool) "skip past the end" true
+          (is_error (Net.Bytebuf.decode (fun r -> R.skip r 6) raw)));
+    Alcotest.test_case "array and list keep wire order" `Quick (fun () ->
+        let raw = written (fun w -> List.iter (W.u16 w) [ 3; 1; 2 ]) in
+        Alcotest.(check (array int)) "array" [| 3; 1; 2 |]
+          (decoded
+             (Net.Bytebuf.decode
+                (fun r -> R.array r ~count:3 ~elt:2 R.u16)
+                raw));
+        Alcotest.(check (list int)) "list" [ 3; 1; 2 ]
+          (decoded
+             (Net.Bytebuf.decode
+                (fun r -> R.list r ~count:3 ~elt:2 R.u16)
+                raw));
+        Alcotest.(check (array int)) "empty" [||]
+          (decoded
+             (Net.Bytebuf.decode
+                (fun r -> R.array r ~count:0 ~elt:2 R.u16)
+                Bytes.empty)));
+    Alcotest.test_case "a hostile count fails before allocating" `Quick
+      (fun () ->
+        let raw = Bytes.make 8 '\001' in
+        let before = words () in
+        let a =
+          Net.Bytebuf.decode (fun r -> R.array r ~count:max_int ~elt:1 R.u8) raw
+        in
+        let l =
+          Net.Bytebuf.decode
+            (fun r -> R.list r ~count:(1 lsl 32) ~elt:8 R.u8)
+            raw
+        in
+        let used = words () -. before in
+        Alcotest.(check bool) "array refused" true (is_error a);
+        Alcotest.(check bool) "list refused" true (is_error l);
+        Alcotest.(check bool) "negative refused" true
+          (is_error
+             (Net.Bytebuf.decode
+                (fun r -> R.array r ~count:(-1) ~elt:1 R.u8)
+                raw));
+        if used >= 1000.0 then Alcotest.failf "allocated %.0f words" used);
+    Alcotest.test_case "result and fail become Error, never an exception"
+      `Quick (fun () ->
+        Alcotest.(check bool) "payload error" true
+          (is_error
+             (Net.Bytebuf.decode (fun _ -> R.result (Error "bad")) Bytes.empty));
+        Alcotest.(check int) "payload ok" 4
+          (decoded (Net.Bytebuf.decode (fun _ -> R.result (Ok 4)) Bytes.empty));
+        match
+          Net.Bytebuf.decode (fun _ -> R.fail "custom %d" 42) Bytes.empty
+        with
+        | Error reason -> Alcotest.(check string) "reason" "custom 42" reason
+        | Ok () -> Alcotest.fail "fail decoded Ok");
+    Alcotest.test_case "the size checks name the codec" `Quick (fun () ->
+        let raises f =
+          match f () with
+          | _ -> false
+          | exception Invalid_argument reason ->
+              Astring_contains.contains reason "Demo"
+        in
+        Alcotest.(check bool) "payload_size lie" true
+          (raises (fun () ->
+               Net.Bytebuf.encode_payload ~who:"Demo" Net.Bytebuf.string_codec
+                 ~size:3 "four"));
+        Alcotest.(check bool) "size model lie" true
+          (raises (fun () ->
+               Net.Bytebuf.encode_sized ~who:"Demo" ~size:2 (fun w ->
+                   W.u8 w 1)));
+        Alcotest.(check int) "honest body" 2
+          (Bytes.length
+             (Net.Bytebuf.encode_sized ~who:"Demo" ~size:2 (fun w ->
+                  W.u16 w 1))));
   ]
 
 (* Property: arbitrary generated bodies have encoded length = body_size and

@@ -71,74 +71,59 @@ let tests =
 
 (* -- decode-error cases: short and oversized buffers --------------------
 
-   Every frame type must reject truncation (any strict prefix of a valid
-   encoding) and trailing garbage with Error, never Ok on partial data.
-   The recover-reply case is the nasty one: its payload is a list of
-   self-delimiting data messages, so a buffer cut exactly at a message
-   boundary used to decode Ok with silently fewer messages. *)
+   Every sample frame of every codec must reject truncation (any strict
+   prefix of a valid encoding) and trailing garbage with Error, never Ok on
+   partial data.  The recover-reply case is the nasty one: its payload is a
+   list of self-delimiting data messages, so a buffer cut exactly at a
+   message boundary used to decode Ok with silently fewer messages.
 
-let mid_ o s = Causal.Mid.make ~origin:(Net.Node_id.of_int o) ~seq:s
+   CBCAST data is the documented exception (Cb_codec.decode_body): its
+   payload has no length field and runs to the end of the datagram, so a
+   prefix that keeps the 8 + 4n-byte header, or an extension, decodes Ok
+   with a shorter or longer payload. *)
 
-let msg_ ?(deps = []) o s text =
-  Causal.Causal_msg.make ~mid:(mid_ o s) ~deps ~payload_size:(String.length text)
-    text
-
-let sample_bodies n : (string * string Urcgc.Wire.body) list =
-  [
-    ("data", Urcgc.Wire.Data (msg_ ~deps:[ mid_ 0 2 ] 1 5 "payload"));
-    ( "request",
-      Urcgc.Wire.Request
-        {
-          Urcgc.Wire.sender = node 2;
-          subrun = 3;
-          last_processed = Array.init n (fun i -> i);
-          waiting = Array.init n (fun _ -> None);
-          prev_decision = Urcgc.Decision.initial ~n;
-        } );
-    ("decision", Urcgc.Wire.Decision_pdu (Urcgc.Decision.initial ~n));
-    ( "recover_req",
-      Urcgc.Wire.Recover_req
-        { requester = node 0; origin = node 3; from_seq = 4; to_seq = 19 } );
-    ( "recover_reply",
-      Urcgc.Wire.Recover_reply
-        {
-          responder = node 1;
-          messages = [ msg_ 3 1 "a"; msg_ ~deps:[ mid_ 3 1 ] 3 2 "bb" ];
-        } );
-  ]
+let mid_ = Codec_samples.mid
+let msg_ = Codec_samples.urcgc_msg
 
 let decode_error_tests =
-  let n = 6 in
-  let payload = Urcgc.Wire_codec.string_payload in
-  let decodes_ok raw =
-    match Urcgc.Wire_codec.decode_body payload ~n raw with
-    | Ok _ -> true
-    | Error _ -> false
-  in
   List.concat_map
-    (fun (name, body) ->
-      let raw = Urcgc.Wire_codec.encode_body payload body in
-      [
-        Alcotest.test_case
-          (Printf.sprintf "%s rejects every strict prefix" name)
-          `Quick
-          (fun () ->
-            Alcotest.(check bool) "full buffer decodes" true (decodes_ok raw);
-            for len = 0 to Bytes.length raw - 1 do
-              if decodes_ok (Bytes.sub raw 0 len) then
-                Alcotest.failf "prefix of %d/%d bytes decoded Ok" len
-                  (Bytes.length raw)
-            done);
-        Alcotest.test_case
-          (Printf.sprintf "%s rejects a trailing byte" name)
-          `Quick
-          (fun () ->
-            let oversized = Bytes.extend raw 0 1 in
-            Bytes.set oversized (Bytes.length raw) '\x00';
-            Alcotest.(check bool) "oversized rejected" false
-              (decodes_ok oversized));
-      ])
-    (sample_bodies n)
+    (fun (c : Codec_samples.codec) ->
+      let decodes_ok raw = Result.is_ok (c.decode raw) in
+      List.concat_map
+        (fun (label, raw) ->
+          let name = Printf.sprintf "%s %s" c.name label in
+          let open_ended = c.name = "cbcast" && label = "data" in
+          let header = 8 + (4 * Codec_samples.n) in
+          let prefix_ok len = open_ended && len >= header in
+          [
+            Alcotest.test_case
+              (name
+              ^
+              if open_ended then " decodes prefixes that keep its header"
+              else " rejects every strict prefix")
+              `Quick
+              (fun () ->
+                Alcotest.(check bool) "full buffer decodes" true
+                  (decodes_ok raw);
+                for len = 0 to Bytes.length raw - 1 do
+                  if decodes_ok (Bytes.sub raw 0 len) <> prefix_ok len then
+                    Alcotest.failf "prefix of %d/%d bytes: wrong verdict" len
+                      (Bytes.length raw)
+                done);
+            Alcotest.test_case
+              (name
+              ^
+              if open_ended then " reads a trailing byte as payload"
+              else " rejects a trailing byte")
+              `Quick
+              (fun () ->
+                let oversized = Bytes.extend raw 0 1 in
+                Bytes.set oversized (Bytes.length raw) '\x00';
+                Alcotest.(check bool) "oversized decodes" open_ended
+                  (decodes_ok oversized));
+          ])
+        c.samples)
+    Codec_samples.codecs
   @ [
       Alcotest.test_case
         "recover_reply truncated at a message boundary is an error" `Quick
@@ -250,9 +235,77 @@ let dep_frame_tests =
         | Ok _ -> Alcotest.fail "unsorted dep frame decoded Ok");
   ]
 
+(* -- hostile counts: a count field the frame cannot back ------------------
+
+   A short frame claiming a huge element count must decode to Error
+   without allocating for the claim: the count is checked against the
+   bytes left before any array or list is built. *)
+
+let frame write =
+  let w = Net.Bytebuf.Writer.create () in
+  write w;
+  Net.Bytebuf.Writer.contents w
+
+let rejected_cheaply decode raw () =
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let before = words () in
+  let verdict = decode raw in
+  let used = words () -. before in
+  Alcotest.(check bool) "decodes to Error" true (Result.is_error verdict);
+  if used >= 1000.0 then Alcotest.failf "allocated %.0f words" used
+
+let urcgc_decode raw =
+  Urcgc.Wire_codec.decode_body Urcgc.Wire_codec.string_payload ~n:6 raw
+
+let urgc_decode raw =
+  Urgc.Tw_codec.decode_body Net.Bytebuf.string_codec ~n:5 raw
+
+let hostile_count_tests =
+  let module W = Net.Bytebuf.Writer in
+  [
+    Alcotest.test_case "urcgc data frame claiming 65535 deps" `Quick
+      (rejected_cheaply urcgc_decode
+         (frame (fun w ->
+              (* 12-byte header with dep count 65535, then one dep. *)
+              W.u8 w 1;
+              W.u24 w 1;
+              W.u32 w 5;
+              W.u16 w 65535;
+              W.u16 w 0;
+              W.u32 w 0;
+              W.u32 w 1)));
+    Alcotest.test_case "urgc decision window of 2^32 - 1 mids" `Quick
+      (rejected_cheaply urgc_decode
+         (frame (fun w ->
+              W.u8 w 3;
+              W.u24 w 0;
+              W.u32 w 1;
+              W.u32 w 0;
+              W.u32 w 0xFFFFFFFF (* next_seq *);
+              W.u32 w 0 (* first_assigned *);
+              W.u32 w 0;
+              W.u8 w 0;
+              W.u32 w 0;
+              W.u32 w 1)));
+    Alcotest.test_case "urgc recover reply claiming 2^32 - 1 messages" `Quick
+      (rejected_cheaply urgc_decode
+         (frame (fun w ->
+              W.u8 w 5;
+              W.u24 w 1;
+              W.u32 w 0xFFFFFFFF;
+              (* one message: seq, then a 12-byte data header *)
+              W.u32 w 1;
+              W.u8 w 1;
+              W.u24 w 0;
+              W.u32 w 1;
+              W.u16 w 0;
+              W.u16 w 0)));
+  ]
+
 let suite =
   [
     ("codec.boundary", tests);
     ("codec.decode_errors", decode_error_tests);
     ("codec.dep_frames", dep_frame_tests);
+    ("codec.hostile_counts", hostile_count_tests);
   ]

@@ -1,101 +1,50 @@
-(* Decoder fuzzing: arbitrary byte strings must never raise — hostile input
-   yields [Error] and nothing else.  This is the property that lets a
-   protocol entity sit directly on an untrusted datagram socket. *)
+(* Decoder fuzzing over all four wire codecs: arbitrary byte strings and
+   single-byte mutations of valid encodings must never raise — hostile
+   input yields [Error] (or, for a mutation, possibly a different valid
+   value) and nothing else.  This is the property that lets a protocol
+   entity sit directly on an untrusted datagram socket.  Run it long with
+   QCHECK_LONG=1 QCHECK_LONG_FACTOR=200. *)
 
-let payload = Net.Bytebuf.string_codec
+let arbitrary gen =
+  QCheck.make ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b)) gen
 
-let random_bytes =
-  QCheck.Gen.(map Bytes.of_string (string_size (int_bound 200)))
-
-let arbitrary_bytes =
-  QCheck.make
-    ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b))
-    random_bytes
-
-let never_raises name decode =
-  QCheck.Test.make ~name ~count:500 arbitrary_bytes (fun raw ->
-      match decode raw with Ok _ | Error _ -> true)
-
-let urcgc_fuzz =
-  never_raises "urcgc decoder never raises on garbage" (fun raw ->
-      Urcgc.Wire_codec.decode_body payload ~n:7 raw)
-
-let cbcast_fuzz =
-  never_raises "cbcast decoder never raises on garbage" (fun raw ->
-      Cbcast.Cb_codec.decode_body payload ~n:7 raw)
-
-(* Mutation fuzzing: take a VALID encoding and flip one byte anywhere; the
-   decoder must still never raise (it may accept a different valid value). *)
-let mutation_gen =
+(* Half plain garbage, half garbage behind a tag byte every codec knows
+   (tags run from 1 to at most 8), so the fuzz gets past dispatch. *)
+let garbage =
   QCheck.Gen.(
-    let body =
-      Urcgc.Wire_codec.encode_body payload
-        (Urcgc.Wire.Request
-           {
-             sender = Net.Node_id.of_int 2;
-             subrun = 5;
-             last_processed = Array.init 7 (fun i -> i);
-             waiting = Array.make 7 None;
-             prev_decision = Urcgc.Decision.initial ~n:7;
-           })
-    in
-    map2
-      (fun pos value ->
-        let raw = Bytes.copy body in
+    let raw = map Bytes.of_string (string_size (int_bound 200)) in
+    oneof
+      [
+        raw;
+        map2
+          (fun tag rest -> Bytes.cat (Bytes.make 1 (Char.chr tag)) rest)
+          (int_range 1 8) raw;
+      ])
+
+let mutation (c : Codec_samples.codec) =
+  QCheck.Gen.(
+    map3
+      (fun (_, raw) pos value ->
+        let raw = Bytes.copy raw in
         Bytes.set_uint8 raw (pos mod Bytes.length raw) value;
         raw)
-      small_nat (int_bound 255))
+      (oneofl c.samples) nat (int_bound 255))
 
-let mutation_fuzz =
-  QCheck.Test.make ~name:"urcgc decoder survives single-byte mutations"
-    ~count:500
-    (QCheck.make
-       ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b))
-       mutation_gen)
-    (fun raw ->
-      match Urcgc.Wire_codec.decode_body payload ~n:7 raw with
-      | Ok _ | Error _ -> true)
-
-let cb_mutation_gen =
-  QCheck.Gen.(
-    let body =
-      Cbcast.Cb_codec.encode_body payload
-        (Cbcast.Cb_wire.Flush_unstable
-           {
-             view_id = 3;
-             sender = Net.Node_id.of_int 1;
-             msgs =
-               [
-                 {
-                   Cbcast.Cb_wire.sender = Net.Node_id.of_int 1;
-                   view_id = 3;
-                   vt = Cbcast.Vclock.of_array [| 1; 2; 3; 4; 5; 6; 7 |];
-                   payload = "zzz";
-                   payload_size = 3;
-                 };
-               ];
-           })
-    in
-    map2
-      (fun pos value ->
-        let raw = Bytes.copy body in
-        Bytes.set_uint8 raw (pos mod Bytes.length raw) value;
-        raw)
-      small_nat (int_bound 255))
-
-let cb_mutation_fuzz =
-  QCheck.Test.make ~name:"cbcast decoder survives single-byte mutations"
-    ~count:500
-    (QCheck.make
-       ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b))
-       cb_mutation_gen)
-    (fun raw ->
-      match Cbcast.Cb_codec.decode_body payload ~n:7 raw with
-      | Ok _ | Error _ -> true)
+let never_raises name gen (c : Codec_samples.codec) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s decoder %s" c.name name)
+    ~count:500 (arbitrary gen)
+    (fun raw -> match c.decode raw with Ok () | Error _ -> true)
 
 let suite =
   [
     ( "fuzz.decoders",
       List.map QCheck_alcotest.to_alcotest
-        [ urcgc_fuzz; cbcast_fuzz; mutation_fuzz; cb_mutation_fuzz ] );
+        (List.concat_map
+           (fun c ->
+             [
+               never_raises "never raises on garbage" garbage c;
+               never_raises "survives single-byte mutations" (mutation c) c;
+             ])
+           Codec_samples.codecs) );
   ]

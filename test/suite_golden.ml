@@ -65,4 +65,19 @@ let tests =
           actual);
   ]
 
-let suite = [ ("golden.baselines", tests) ]
+(* The wire format pinned byte-for-byte: hex of every sample PDU of the
+   four codecs, against expect/codec_vectors.txt.  A roundtrip test cannot
+   see a layout change made the same way on the encode and decode sides;
+   this can. *)
+let vector_tests =
+  [
+    Alcotest.test_case "codec wire vectors match the committed expectation"
+      `Quick (fun () ->
+        Alcotest.(check string)
+          "expect/codec_vectors.txt"
+          (read_file (Filename.concat "expect" "codec_vectors.txt"))
+          (Codec_samples.vectors ()));
+  ]
+
+let suite =
+  [ ("golden.baselines", tests); ("golden.codec_vectors", vector_tests) ]

@@ -1,28 +1,10 @@
-(* Psync codec tests: size model equality, roundtrips, fuzz. *)
+(* Psync codec tests: size model equality, roundtrips.  Hostile input is
+   fuzzed with the other codecs in suite_fuzz.ml. *)
 
-let node n = Net.Node_id.of_int n
-let payload = Net.Bytebuf.string_codec
-let mid s q = { Psync.Context_graph.sender = node s; seq = q }
-
-let cg ?(preds = []) s q text =
-  {
-    Psync.Context_graph.mid = mid s q;
-    preds;
-    payload = text;
-    payload_size = String.length text;
-  }
-
-let bodies : string Psync.Wire.body list =
-  [
-    Psync.Wire.Msg (cg ~preds:[ mid 0 1; mid 2 4 ] 1 2 "stroke");
-    Psync.Wire.Msg (cg 3 1 "");
-    Psync.Wire.Retrans_req { requester = node 2; wanted = mid 0 9 };
-    Psync.Wire.Retrans_reply (cg ~preds:[ mid 1 1 ] 0 2 "again");
-    Psync.Wire.Keepalive;
-    Psync.Wire.Mask_out { target = node 3; initiator = node 0 };
-    Psync.Wire.Mask_ack { target = node 3 };
-    Psync.Wire.Mask_done { target = node 3 };
-  ]
+let payload = Codec_samples.payload
+let mid = Codec_samples.ps_mid
+let cg = Codec_samples.ps_node
+let bodies = List.map snd Codec_samples.psync_bodies
 
 let tests =
   [
@@ -59,15 +41,6 @@ let tests =
               (List.length node.Psync.Context_graph.preds)
         | Ok _ -> Alcotest.fail "wrong variant"
         | Error e -> Alcotest.fail e);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"psync decoder never raises on garbage"
-         ~count:500
-         (QCheck.make
-            ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b))
-            QCheck.Gen.(map Bytes.of_string (string_size (int_bound 120))))
-         (fun raw ->
-           match Psync.Ps_codec.decode_body payload raw with
-           | Ok _ | Error _ -> true));
   ]
 
 let suite = [ ("ps_codec", tests) ]

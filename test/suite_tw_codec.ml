@@ -1,43 +1,9 @@
-(* urgc codec tests: size model equality, roundtrips, fuzz. *)
+(* urgc codec tests: size model equality, roundtrips.  Hostile input is
+   fuzzed with the other codecs in suite_fuzz.ml. *)
 
-let node n = Net.Node_id.of_int n
-let payload = Net.Bytebuf.string_codec
-let mid o s = Causal.Mid.make ~origin:(node o) ~seq:s
-
-let data o s text =
-  { Urgc.Total_wire.mid = mid o s; payload = text; payload_size = String.length text }
-
-let sample_decision n =
-  {
-    Urgc.Total_decision.subrun = 4;
-    coordinator = node 1;
-    next_seq = 5;
-    first_assigned = 2;
-    assignments = [| mid 0 1; mid 2 1; mid 1 3 |];
-    stable_seq = 1;
-    full_group = true;
-    attempts = Array.init n (fun i -> i mod 2);
-    alive = Array.init n (fun i -> i <> 2);
-    heard = Array.init n (fun i -> i mod 2 = 0);
-    acc_processed = Array.init n (fun i -> if i = 0 then max_int else i);
-  }
-
-let bodies n : string Urgc.Total_wire.body list =
-  [
-    Urgc.Total_wire.Data (data 1 4 "entry");
-    Urgc.Total_wire.Request
-      {
-        sender = node 2;
-        subrun = 6;
-        unsequenced = [ mid 0 2; mid 3 1 ];
-        processed_upto = 3;
-        prev_decision = sample_decision n;
-      };
-    Urgc.Total_wire.Decision_pdu (sample_decision n);
-    Urgc.Total_wire.Recover_req { requester = node 0; from_seq = 2; to_seq = 9 };
-    Urgc.Total_wire.Recover_reply
-      { responder = node 1; messages = [ (2, data 0 1 "a"); (3, data 2 1 "") ] };
-  ]
+let payload = Codec_samples.payload
+let sample_decision = Codec_samples.urgc_decision
+let bodies n = List.map snd (Codec_samples.urgc_bodies n)
 
 let tests =
   [
@@ -81,14 +47,6 @@ let tests =
               d'.Urgc.Total_decision.acc_processed
         | Ok _ -> Alcotest.fail "wrong variant"
         | Error e -> Alcotest.fail e);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"urgc decoder never raises on garbage" ~count:500
-         (QCheck.make
-            ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b))
-            QCheck.Gen.(map Bytes.of_string (string_size (int_bound 150))))
-         (fun raw ->
-           match Urgc.Tw_codec.decode_body payload ~n:5 raw with
-           | Ok _ | Error _ -> true));
   ]
 
 let suite = [ ("tw_codec", tests) ]
