@@ -5,9 +5,10 @@
      dune exec bench/main.exe -- hotpath --quick --out BENCH_hotpath.json
      dune exec bench/main.exe -- hotpath --quick --check BENCH_hotpath.json
 
-   Four structure-level scenarios (waiting-list drain, discard cascade,
-   history store+purge, history range) are sized to expose super-linear
-   behaviour — a quadratic waiting-list scan is ~100x slower at W = 2048 —
+   Structure-level scenarios (waiting-list drain, frontier-dep drain and
+   stale-vector resync, discard cascade, history store+purge, history
+   range) are sized to expose super-linear behaviour — a quadratic
+   waiting-list scan is ~100x slower at W = 2048 —
    plus a full simulated subrun at n in {8, 15, 40, 128} as the end-to-end
    sanity point.  Every sample reports wall-clock and GC minor words per
    logical operation, so allocation regressions surface alongside time.
@@ -106,6 +107,74 @@ let discard_cascade ~w () =
   if List.length discarded <> w then
     failwith "hotpath: discard_cascade count broke"
 
+(* A causal history of [w] messages at group size [n], each depending on
+   the current frontier of every other origin (up to n-1 deps), all blocked
+   behind one missing mid (0, 1); processing it drains the whole history.
+   This is the dependency-heavy blocked path of a lossy run with frontier
+   labels. *)
+let waiting_frontier ~n ~w =
+  let latest = Array.make n 0 in
+  latest.(0) <- 1;
+  let msgs =
+    Array.init w (fun i ->
+        let o = 1 + (i mod (n - 1)) in
+        let deps =
+          List.filter_map
+            (fun j ->
+              if j = o || latest.(j) = 0 then None
+              else Some (Causal.Mid.make ~origin:(node j) ~seq:latest.(j)))
+            (List.init n Fun.id)
+        in
+        latest.(o) <- latest.(o) + 1;
+        msg ~origin:o ~seq:latest.(o) ~deps ())
+  in
+  fun () ->
+    let wl = Causal.Waiting_list.create ~n in
+    let d = Causal.Delivery.create ~n in
+    Array.iter (Causal.Waiting_list.add wl) msgs;
+    if Option.is_some (Causal.Waiting_list.take_processable wl d) then
+      failwith "hotpath: waiting_frontier processable too early";
+    Causal.Delivery.mark d (Causal.Mid.make ~origin:(node 0) ~seq:1);
+    let drained = ref 0 in
+    let rec drain () =
+      match Causal.Waiting_list.take_processable wl d with
+      | Some m ->
+          Causal.Delivery.mark d m.Causal.Causal_msg.mid;
+          incr drained;
+          drain ()
+      | None -> ()
+    in
+    drain ();
+    if !drained <> w then failwith "hotpath: waiting_frontier drain broke"
+
+(* [mids] messages processed one by one past an empty list (the fault-free
+   loop: each [take_processable] returns at once, so the list's cached
+   delivery vector falls behind), then one message blocks on a chain gap
+   with deps on the newest mid of every other origin.  The resync it forces
+   must cost the keys registered, not the whole processed gap. *)
+let waiting_stale_seen ~n ~mids () =
+  let wl = Causal.Waiting_list.create ~n in
+  let d = Causal.Delivery.create ~n in
+  for i = 0 to mids - 1 do
+    Causal.Delivery.mark d
+      (Causal.Mid.make ~origin:(node (i mod n)) ~seq:((i / n) + 1));
+    if Option.is_some (Causal.Waiting_list.take_processable wl d) then
+      failwith "hotpath: waiting_stale_seen empty list took a message"
+  done;
+  let top o = Causal.Delivery.last_processed d (node o) in
+  let deps =
+    List.init (n - 1) (fun j ->
+        Causal.Mid.make ~origin:(node (j + 1)) ~seq:(top (j + 1)))
+  in
+  let gap = top 0 + 1 in
+  Causal.Waiting_list.add wl (msg ~origin:0 ~seq:(gap + 1) ~deps ());
+  if Option.is_some (Causal.Waiting_list.take_processable wl d) then
+    failwith "hotpath: waiting_stale_seen processable across a gap";
+  Causal.Delivery.mark d (Causal.Mid.make ~origin:(node 0) ~seq:gap);
+  match Causal.Waiting_list.take_processable wl d with
+  | Some m when Causal.Mid.seq m.Causal.Causal_msg.mid = gap + 1 -> ()
+  | Some _ | None -> failwith "hotpath: waiting_stale_seen unblock broke"
+
 let history_store_purge ~w () =
   let h = Causal.History.create ~n:8 in
   for o = 0 to 7 do
@@ -166,6 +235,9 @@ let run_all ~quick =
     m ~name:"waiting_drain_w128" ~ops:128 (waiting_drain ~w:128);
     m ~name:"waiting_drain_w512" ~ops:512 (waiting_drain ~w:512);
     m ~name:"waiting_drain_w2048" ~ops:2048 (waiting_drain ~w:2048);
+    m ~name:"waiting_frontier_n40_w80" ~ops:80 (waiting_frontier ~n:40 ~w:80);
+    m ~name:"waiting_stale_seen_n40" ~ops:10_000
+      (waiting_stale_seen ~n:40 ~mids:10_000);
     m ~name:"discard_cascade_w128" ~ops:128 (discard_cascade ~w:128);
     m ~name:"discard_cascade_w512" ~ops:512 (discard_cascade ~w:512);
     m ~name:"discard_cascade_w2048" ~ops:2048 (discard_cascade ~w:2048);

@@ -135,42 +135,138 @@ let oldest_tests =
         done);
   ]
 
-(* -- randomized equivalence against the reference model ------------------ *)
+(* -- randomized equivalence against the reference model ------------------
 
-let equivalence_runs = 120
-let equivalence_ops = 60
+   Each shape drives [Waiting_list_reference] and the production list with
+   identical operation sequences and checks every observation, plus
+   [Causal.Waiting_list.check_invariants] after every operation.  Besides
+   add / remove / discard / drain, the operations re-add a removed mid under
+   different dependencies, advance the delivery vector without processing
+   (orphan skips), and process many mids "elsewhere" before an add — with
+   the list empty that leaves the production list's cached vector stale.
+   QCHECK_LONG=1 runs 20x more seeds per shape. *)
 
-let run_equivalence seed =
-  let n = 4 in
-  let max_seq = 12 in
+type shape = {
+  label : string;
+  runs : int;
+  ops : int;
+  n_min : int;  (* group size drawn from [n_min, n_max] *)
+  n_max : int;
+  frontier : bool;
+      (* messages follow a causal history, each depending on the recent
+         frontier of up to n-1 origins; otherwise labels are uniformly
+         random over seqs [1, 12] with sparse deps *)
+  quirks : bool;
+      (* dependency arrays may repeat a mid or name the sender's own
+         predecessor *)
+}
+
+let long_run =
+  match Sys.getenv_opt "QCHECK_LONG" with
+  | Some ("1" | "true") -> true
+  | Some _ | None -> false
+
+let shapes =
+  [
+    { label = "random labels, n = 4"; runs = 120; ops = 60; n_min = 4;
+      n_max = 4; frontier = false; quirks = false };
+    { label = "frontier deps, n up to 40"; runs = 40; ops = 150; n_min = 2;
+      n_max = 40; frontier = true; quirks = false };
+    { label = "duplicate and own-predecessor deps"; runs = 80; ops = 80;
+      n_min = 2; n_max = 8; frontier = false; quirks = true };
+    { label = "frontier deps with quirks, n up to 12"; runs = 60; ops = 120;
+      n_min = 2; n_max = 12; frontier = true; quirks = true };
+  ]
+
+let run_equivalence shape seed =
   let rng = Random.State.make [| 0x5eed; seed |] in
+  let n = shape.n_min + Random.State.int rng (shape.n_max - shape.n_min + 1) in
+  let max_seq = 12 in
   let reference = Waiting_list_reference.create ~n in
   let wl = Causal.Waiting_list.create ~n in
   let delivery = Causal.Delivery.create ~n in
   (* Alcotest prints this message on failure, so the failing seed is always
-     recoverable: rerun [run_equivalence seed] alone to shrink by hand. *)
+     recoverable: rerun [run_equivalence shape seed] alone to shrink by
+     hand. *)
   let fail fmt =
     Format.kasprintf
       (fun detail ->
-        Alcotest.failf "equivalence mismatch (failing seed %d): %s" seed
-          detail)
+        Alcotest.failf "%s: equivalence mismatch (failing seed %d, n = %d): %s"
+          shape.label seed n detail)
       fmt
   in
+  let chance k = Random.State.int rng k = 0 in
   let rand_origin () = Random.State.int rng n in
   let rand_seq () = 1 + Random.State.int rng max_seq in
-  let rand_msg () =
-    let o = rand_origin () and s = rand_seq () in
-    let deps =
-      List.filter_map
-        (fun o' ->
-          if o' = o || Random.State.int rng 4 > 0 then None
-          else Some (mid o' (rand_seq ())))
-        (List.init n Fun.id)
-    in
-    msg ~deps o s
+  (* Frontier mode: [generated.(o)] messages of origin o exist so far, and
+     [pool] holds them (most recent first) for out-of-order arrival.  The
+     group has been running: every origin's first message is processed,
+     so labels carry deps on nearly all n-1 other origins from the start. *)
+  let generated = Array.make n 0 in
+  let pool = ref [] in
+  if shape.frontier then
+    for o = 0 to n - 1 do
+      Causal.Delivery.mark delivery (mid o 1);
+      generated.(o) <- 1
+    done;
+  let last o = Causal.Delivery.last_processed delivery (node o) in
+  let rand_deps o s =
+    List.filter_map
+      (fun o' ->
+        if o' = o then
+          if shape.quirks && s > 1 && chance 3 then Some (mid o (s - 1))
+          else None
+        else if shape.frontier then
+          if generated.(o') = 0 || chance 8 then None
+          else
+            Some (mid o' (max 1 (generated.(o') - Random.State.int rng 3)))
+        else if Random.State.int rng 4 > 0 then None
+        else Some (mid o' (rand_seq ())))
+      (List.init n Fun.id)
+  in
+  (* [Causal_msg.make] deduplicates, so a repeated dep needs the raw
+     record; the array stays sorted. *)
+  let label o s deps =
+    let m = msg ~deps o s in
+    match m.Causal.Causal_msg.deps with
+    | [||] -> m
+    | ds when shape.quirks && chance 3 ->
+        let dup = ds.(Random.State.int rng (Array.length ds)) in
+        let deps = List.sort Causal.Mid.compare (dup :: Array.to_list ds) in
+        { m with deps = Array.of_list deps }
+    | _ -> m
+  in
+  let fresh_msg () =
+    let o = rand_origin () in
+    if shape.frontier then begin
+      let s = generated.(o) + 1 in
+      let m = label o s (rand_deps o s) in
+      generated.(o) <- s;
+      pool := m :: !pool;
+      (* A recent message of the history: arrivals are out of order, and
+         some are re-deliveries of messages already taken. *)
+      List.nth !pool (Random.State.int rng (min (List.length !pool) (2 * n)))
+    end
+    else
+      let s = rand_seq () in
+      label o s (rand_deps o s)
+  in
+  let add m =
+    Waiting_list_reference.add reference m;
+    Causal.Waiting_list.add wl m
+  in
+  let remove victim =
+    let ma = Waiting_list_reference.mem reference victim in
+    let mb = Causal.Waiting_list.mem wl victim in
+    if ma <> mb then
+      fail "mem %a: %b (reference) vs %b" Causal.Mid.pp victim ma mb;
+    Waiting_list_reference.remove reference victim;
+    Causal.Waiting_list.remove wl victim
   in
   let mids_of l = List.map (fun m -> m.Causal.Causal_msg.mid) l in
   let check_state () =
+    (try Causal.Waiting_list.check_invariants wl
+     with Failure e -> fail "invariant: %s" e);
     let la = Waiting_list_reference.length reference in
     let lb = Causal.Waiting_list.length wl in
     if la <> lb then fail "length %d (reference) vs %d" la lb;
@@ -193,20 +289,25 @@ let run_equivalence seed =
           vb.(o)
     done
   in
-  for _op = 1 to equivalence_ops do
+  for _op = 1 to shape.ops do
     (match Random.State.int rng 100 with
-    | r when r < 40 ->
-        let m = rand_msg () in
-        Waiting_list_reference.add reference m;
-        Causal.Waiting_list.add wl m
-    | r when r < 50 ->
-        let victim = mid (rand_origin ()) (rand_seq ()) in
-        let ma = Waiting_list_reference.mem reference victim in
-        let mb = Causal.Waiting_list.mem wl victim in
-        if ma <> mb then fail "mem %a: %b (reference) vs %b" Causal.Mid.pp victim ma mb;
-        Waiting_list_reference.remove reference victim;
-        Causal.Waiting_list.remove wl victim
-    | r when r < 65 ->
+    | r when r < 35 -> add (fresh_msg ())
+    | r when r < 43 -> remove (mid (rand_origin ()) (rand_seq ()))
+    | r when r < 50 -> (
+        (* Remove a waiting mid, then re-add it under different deps: its
+           old blocker registrations must not count for the new entry. *)
+        match Causal.Waiting_list.to_list wl with
+        | [] -> ()
+        | waiting ->
+            let m =
+              List.nth waiting (Random.State.int rng (List.length waiting))
+            in
+            let victim = m.Causal.Causal_msg.mid in
+            let o = Net.Node_id.to_int (Causal.Mid.origin victim)
+            and s = Causal.Mid.seq victim in
+            remove victim;
+            add (label o s (rand_deps o s)))
+    | r when r < 60 ->
         let origin = node (rand_origin ()) and seq = rand_seq () in
         let da = Waiting_list_reference.discard_from reference ~origin ~seq in
         let db = Causal.Waiting_list.discard_from wl ~origin ~seq in
@@ -217,7 +318,7 @@ let run_equivalence seed =
             da
             (Format.pp_print_list Causal.Mid.pp)
             db
-    | r when r < 90 ->
+    | r when r < 85 ->
         let rec drain () =
           let a = Waiting_list_reference.take_processable reference delivery in
           let b = Causal.Waiting_list.take_processable wl delivery in
@@ -227,6 +328,7 @@ let run_equivalence seed =
             when Causal.Mid.equal ma.Causal.Causal_msg.mid
                    mb.Causal.Causal_msg.mid ->
               Causal.Delivery.mark delivery ma.Causal.Causal_msg.mid;
+              check_state ();
               drain ()
           | a, b ->
               let pp ppf = function
@@ -236,25 +338,78 @@ let run_equivalence seed =
               fail "take_processable %a (reference) vs %a" pp a pp b
         in
         drain ()
-    | _ ->
+    | r when r < 92 ->
         (* Shared delivery state jumps ahead without processing, exercising
            the optimized list's lazy resynchronization. *)
-        Causal.Delivery.force_skip_to delivery
-          ~origin:(node (rand_origin ()))
-          ~seq:(rand_seq ()));
+        let o = rand_origin () in
+        let seq = if shape.frontier then last o + 1 + Random.State.int rng 3
+          else rand_seq () in
+        Causal.Delivery.force_skip_to delivery ~origin:(node o) ~seq;
+        generated.(o) <- max generated.(o) seq
+    | _ ->
+        (* Many mids processed elsewhere (received directly in order), then
+           one arrival. *)
+        for _ = 1 to 1 + Random.State.int rng (3 * n) do
+          let o = rand_origin () in
+          Causal.Delivery.mark delivery (mid o (last o + 1));
+          generated.(o) <- max generated.(o) (last o)
+        done;
+        add (fresh_msg ()));
     check_state ()
   done
 
 let equivalence_tests =
+  List.map
+    (fun shape ->
+      let runs = if long_run then 20 * shape.runs else shape.runs in
+      Alcotest.test_case
+        (Printf.sprintf "waiting list equals reference model: %s (%d runs)"
+           shape.label runs)
+        `Quick
+        (fun () ->
+          for seed = 0 to runs - 1 do
+            run_equivalence shape seed
+          done))
+    shapes
+
+(* -- bounded memory ------------------------------------------------------- *)
+
+(* One list, many block/unblock cycles of a 39-dep message: everything a
+   cycle registers must be reclaimed once it unblocks, so the list's
+   footprint after 10k cycles is no larger than after 2k. *)
+let memory_tests =
   [
-    Alcotest.test_case
-      (Printf.sprintf "waiting list equals reference model (%d randomized runs)"
-         equivalence_runs)
-      `Quick
+    Alcotest.test_case "block/unblock cycles keep the footprint flat" `Quick
       (fun () ->
-        for seed = 0 to equivalence_runs - 1 do
-          run_equivalence seed
-        done);
+        let n = 40 in
+        let wl = Causal.Waiting_list.create ~n in
+        let delivery = Causal.Delivery.create ~n in
+        let cycle = ref 0 in
+        let run cycles =
+          for _ = 1 to cycles do
+            incr cycle;
+            let c = !cycle in
+            (* Message c of origin 0 depends on message c of every other
+               origin, none of them processed yet. *)
+            let deps = List.init (n - 1) (fun j -> mid (j + 1) c) in
+            Causal.Waiting_list.add wl (msg ~deps 0 c);
+            if Option.is_some (Causal.Waiting_list.take_processable wl delivery)
+            then Alcotest.fail "processable before its deps";
+            for j = 1 to n - 1 do
+              Causal.Delivery.mark delivery (mid j c)
+            done;
+            match Causal.Waiting_list.take_processable wl delivery with
+            | Some m when Causal.Mid.equal m.Causal.Causal_msg.mid (mid 0 c) ->
+                Causal.Delivery.mark delivery (mid 0 c)
+            | Some _ | None -> Alcotest.fail "not unblocked by its deps"
+          done;
+          Obj.reachable_words (Obj.repr wl)
+        in
+        let after_2k = run 2_000 in
+        let after_10k = run 8_000 in
+        if after_10k > after_2k then
+          Alcotest.failf "list grew from %d words (2k cycles) to %d (10k)"
+            after_2k after_10k);
   ]
 
 (* -- member equivalence: sink emission vs the list-building reference ----
@@ -390,5 +545,6 @@ let suite =
     ("hotpath.history", history_tests);
     ("hotpath.oldest", oldest_tests);
     ("hotpath.equivalence", equivalence_tests);
+    ("hotpath.memory", memory_tests);
     ("hotpath.member_equivalence", member_equivalence_tests);
   ]
