@@ -204,18 +204,22 @@ let history_range ~w =
         failwith "hotpath: history range count broke"
     done
 
-let oldest_vector ~w =
+(* [calls] snapshots per repetition: one takes ~100 ns, below what the
+   microsecond clock can time in the two repetitions of [--quick]. *)
+let oldest_vector ~w ~calls =
   let n = 8 in
   let wl = Causal.Waiting_list.create ~n in
   for i = 0 to w - 1 do
     Causal.Waiting_list.add wl (msg ~origin:(i mod n) ~seq:((i / n) + 2) ())
   done;
   fun () ->
-    let v = Causal.Waiting_list.oldest_vector wl in
-    for o = 0 to n - 1 do
-      match v.(o) with
-      | Some mid when Causal.Mid.seq mid = 2 -> ()
-      | Some _ | None -> failwith "hotpath: oldest_vector broke"
+    for _ = 1 to calls do
+      let v = Causal.Waiting_list.oldest_vector wl in
+      for o = 0 to n - 1 do
+        match v.(o) with
+        | Some mid when Causal.Mid.seq mid = 2 -> ()
+        | Some _ | None -> failwith "hotpath: oldest_vector broke"
+      done
     done
 
 let subrun ~n () =
@@ -245,7 +249,7 @@ let run_all ~quick =
     m ~name:"history_store_purge_w2048" ~ops:(8 * 2048)
       (history_store_purge ~w:2048);
     m ~name:"history_range_w2048" ~ops:(8 * 1025) (history_range ~w:2048);
-    m ~name:"oldest_vector_w512" ~ops:1 (oldest_vector ~w:512);
+    m ~name:"oldest_vector_w512" ~ops:1000 (oldest_vector ~w:512 ~calls:1000);
     m ~name:"subrun_n8" ~ops:8 (subrun ~n:8);
     m ~name:"subrun_n15" ~ops:15 (subrun ~n:15);
     m ~name:"subrun_n40" ~ops:40 (subrun ~n:40);

@@ -38,8 +38,11 @@ type 'a t = {
      trace) with no per-round action lists. *)
   mutable sinks : 'a Member.sink array;
   mutable extra_broadcast_targets : Net.Node_id.t list;
-  mutable delivery_callbacks : ('a delivery -> unit) list;
+  (* Callbacks in registration order. *)
+  mutable delivery_callbacks :
+    (Net.Node_id.t -> 'a Causal.Causal_msg.t -> Sim.Ticks.t -> unit) list;
   mutable confirm_callbacks : (Net.Node_id.t -> Causal.Mid.t -> unit) list;
+  mutable departure_callbacks : (departure -> unit) list;
   mutable dchunks : 'a dchunk list;  (* newest chunk first *)
   mutable dfill : int;  (* occupied slots in the newest chunk *)
   mutable generations : 'a generation list;
@@ -128,6 +131,14 @@ let broadcast_dsts t member =
     dsts
   end
 
+(* Top-level recursion: firing allocates no closure per delivery. *)
+let rec fire_delivery callbacks node msg at =
+  match callbacks with
+  | [] -> ()
+  | callback :: rest ->
+      callback node msg at;
+      fire_delivery rest node msg at
+
 let sink_of t member =
   let self = Member.id member in
   let self_i = Net.Node_id.to_int self in
@@ -192,16 +203,10 @@ let sink_of t member =
           emit t
             (Sim.Trace.Deliver
                { node = self_i; mid = trace_mid msg.Causal.Causal_msg.mid });
-        match t.delivery_callbacks with
-        | [] -> ()
-        | callbacks ->
-            let record = { node = self; msg; at } in
-            List.iter (fun callback -> callback record) (List.rev callbacks));
+        fire_delivery t.delivery_callbacks self msg at);
     emit_confirmed =
       (fun mid ->
-        List.iter
-          (fun callback -> callback self mid)
-          (List.rev t.confirm_callbacks);
+        List.iter (fun callback -> callback self mid) t.confirm_callbacks;
         if tracing t then
           emit t (Sim.Trace.Confirm { node = self_i; mid = trace_mid mid }));
     emit_queued =
@@ -218,7 +223,9 @@ let sink_of t member =
                { node = self_i; mids = List.map trace_mid mids }));
     emit_left =
       (fun why ->
-        t.departures <- { who = self; why; when_ = now t } :: t.departures;
+        let departure = { who = self; why; when_ = now t } in
+        t.departures <- departure :: t.departures;
+        List.iter (fun callback -> callback departure) t.departure_callbacks;
         if tracing t then
           emit t
             (Sim.Trace.Left
@@ -253,6 +260,7 @@ let create_with_medium ?(tracer = Sim.Trace.null) ~config ~medium () =
       extra_broadcast_targets = [];
       delivery_callbacks = [];
       confirm_callbacks = [];
+      departure_callbacks = [];
       dchunks = [];
       dfill = 0;
       generations = [];
@@ -312,10 +320,13 @@ let subrun t = Net.Cluster.subrun t.core
 let on_round t callback = Net.Cluster.on_round t.core callback
 
 let on_delivery t callback =
-  t.delivery_callbacks <- callback :: t.delivery_callbacks
+  t.delivery_callbacks <- t.delivery_callbacks @ [ callback ]
 
 let on_confirm t callback =
-  t.confirm_callbacks <- callback :: t.confirm_callbacks
+  t.confirm_callbacks <- t.confirm_callbacks @ [ callback ]
+
+let on_departure t callback =
+  t.departure_callbacks <- t.departure_callbacks @ [ callback ]
 
 let add_broadcast_targets t targets =
   t.extra_broadcast_targets <- t.extra_broadcast_targets @ targets
@@ -344,18 +355,25 @@ let discards t = List.rev t.discards
 
 let active_members t = Net.Cluster.active_members t.core
 
-let quiescent t =
-  let vector member =
-    List.init t.config.Config.n (fun j ->
-        Member.last_processed member (Net.Node_id.of_int j))
+(* Compares the two members' processed vectors in place. *)
+let same_vector n first member =
+  let rec from j =
+    j >= n
+    ||
+    let origin = Net.Node_id.of_int j in
+    Member.last_processed member origin = Member.last_processed first origin
+    && from (j + 1)
   in
+  from 0
+
+let quiescent t =
   Net.Cluster.quiescent t.core
     ~idle:(fun member ->
       Member.sap_backlog member = 0
       && Member.waiting_length member = 0
       && not (Member.flow_blocked member))
     ~agree:(fun first member ->
-      vector member = vector first
+      same_vector t.config.Config.n first member
       (* A process declared crashed but not yet aware of it is a zombie: the
          group no longer addresses it, and it will only leave after its
          decision-silence timeout.  The run is not settled until then. *)

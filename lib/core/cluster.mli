@@ -55,12 +55,18 @@ val submit :
 val round : 'a t -> int
 (** Rounds completed so far. *)
 
-val on_delivery : 'a t -> ('a delivery -> unit) -> unit
-(** Fired at every processing event, as it happens. *)
+val on_delivery :
+  'a t -> (Net.Node_id.t -> 'a Causal.Causal_msg.t -> Sim.Ticks.t -> unit) -> unit
+(** [on_delivery t f] calls [f node msg at] at every processing event, as it
+    happens, with nothing allocated per event.  Callbacks of this and the
+    other [on_*] hooks fire in registration order. *)
 
 val on_confirm : 'a t -> (Net.Node_id.t -> Causal.Mid.t -> unit) -> unit
 (** Fired when a process's own message is locally processed
     ([urcgc.data.Conf]). *)
+
+val on_departure : 'a t -> (departure -> unit) -> unit
+(** Fired when a process leaves the group, as {!departures} records it. *)
 
 val add_broadcast_targets : 'a t -> Net.Node_id.t list -> unit
 (** Extends every member broadcast (data and decisions) to additional

@@ -5,6 +5,7 @@ type 'a t = {
      in that order, so the head of the queue always matches the next
      Confirmed event of this process. *)
   awaiting_conf : (Causal.Mid.t -> unit) Queue.t;
+  (* In registration order. *)
   mutable ind_callbacks :
     (mid:Causal.Mid.t -> deps:Causal.Mid.t list -> 'a -> unit) list;
 }
@@ -16,9 +17,9 @@ let attach cluster node =
   Cluster.on_confirm cluster (fun who mid ->
       if Net.Node_id.equal who node && not (Queue.is_empty t.awaiting_conf) then
         (Queue.pop t.awaiting_conf) mid);
-  Cluster.on_delivery cluster (fun { Cluster.node = at; msg; _ } ->
+  Cluster.on_delivery cluster (fun at msg _ ->
       if Net.Node_id.equal at node then
-        match List.rev t.ind_callbacks with
+        match t.ind_callbacks with
         | [] -> ()
         | callbacks ->
             (* The callback API exposes deps as a list; convert once per
@@ -37,6 +38,6 @@ let data_rq ?deps ?size ?(on_conf = fun _ -> ()) t payload =
   Queue.push on_conf t.awaiting_conf;
   Cluster.submit ?deps ?size t.cluster t.node payload
 
-let on_data_ind t callback = t.ind_callbacks <- callback :: t.ind_callbacks
+let on_data_ind t callback = t.ind_callbacks <- t.ind_callbacks @ [ callback ]
 
 let pending_confirms t = Queue.length t.awaiting_conf

@@ -90,7 +90,7 @@ let create cluster ~net () =
     (fun server -> Net.Netsim.attach edge server (server_handler t server))
     (Net.Node_id.group n);
   (* Reply when an owned request has been processed locally. *)
-  Urcgc.Cluster.on_delivery cluster (fun { Urcgc.Cluster.node; msg; _ } ->
+  Urcgc.Cluster.on_delivery cluster (fun node msg _ ->
       let request = msg.Causal.Causal_msg.payload in
       let sid = Net.Node_id.to_int node in
       let key = key_of request in

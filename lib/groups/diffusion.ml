@@ -159,7 +159,7 @@ let attach_clients cluster ~net ~client_ids =
     (Net.Node_id.group n);
   (* Every processed message enters the server's retention buffer; a bounded
      tail per origin is kept (clients lagging further have lost the stream). *)
-  Urcgc.Cluster.on_delivery cluster (fun { Urcgc.Cluster.node; msg; _ } ->
+  Urcgc.Cluster.on_delivery cluster (fun node msg _ ->
       match Hashtbl.find_opt t.retention (Net.Node_id.to_int node) with
       | None -> ()
       | Some retained ->

@@ -12,18 +12,22 @@ type t = {
 let empty =
   { count = 0; mean = 0.; stddev = 0.; min = 0.; max = 0.; p50 = 0.; p95 = 0.; p99 = 0. }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then invalid_arg "Summary.percentile: empty sample";
-  if q < 0.0 || q > 1.0 then invalid_arg "Summary.percentile: q out of range";
-  if n = 1 then sorted.(0)
+(* The [q] quantile of [n] sorted samples, [nth i] the [i]th smallest. *)
+let interpolate ~n nth q =
+  if n = 1 then nth 0
   else begin
     let rank = q *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor rank) in
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+    (nth lo *. (1.0 -. frac)) +. (nth hi *. frac)
   end
+
+let percentile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then invalid_arg "Summary.percentile: empty sample";
+  if q < 0.0 || q > 1.0 then invalid_arg "Summary.percentile: q out of range";
+  interpolate ~n (Array.get sorted) q
 
 (* [Float.compare] without boxing: with both operands known floats the
    comparisons compile to unboxed instructions.  Same sign as the runtime's
@@ -129,6 +133,51 @@ let of_list samples =
         p95 = percentile sorted 0.95;
         p99 = percentile sorted 0.99;
       }
+
+let of_counts value counts =
+  let buckets = Array.length counts in
+  let count = Array.fold_left ( + ) 0 counts in
+  if count = 0 then empty
+  else begin
+    (* Every pass visits the samples in ascending order, one at a time, as
+       [of_list] does over its sorted copy: the sums round identically. *)
+    let sum = ref 0.0 in
+    for b = 0 to buckets - 1 do
+      let x = value b in
+      for _ = 1 to counts.(b) do
+        sum := !sum +. x
+      done
+    done;
+    let mean = !sum /. float_of_int count in
+    let sq = ref 0.0 in
+    for b = 0 to buckets - 1 do
+      let d = value b -. mean in
+      for _ = 1 to counts.(b) do
+        sq := !sq +. (d *. d)
+      done
+    done;
+    let var = !sq /. float_of_int count in
+    (* The value of the sample of rank [i]: a walk over the cumulative
+       counts. *)
+    let nth i =
+      let b = ref 0 and below = ref counts.(0) in
+      while !below <= i do
+        incr b;
+        below := !below + counts.(!b)
+      done;
+      value !b
+    in
+    {
+      count;
+      mean;
+      stddev = sqrt var;
+      min = nth 0;
+      max = nth (count - 1);
+      p50 = interpolate ~n:count nth 0.5;
+      p95 = interpolate ~n:count nth 0.95;
+      p99 = interpolate ~n:count nth 0.99;
+    }
+  end
 
 let of_ints samples = of_list (List.map float_of_int samples)
 

@@ -23,6 +23,13 @@ val sort_floats : float array -> unit
     [Array.sort Float.compare] (so the result is bit-identical, [-0.]
     versus [0.] and NaN payloads included), without boxing. *)
 
+val of_counts : (int -> float) -> int array -> t
+(** [of_counts value counts] summarizes a sample given as a histogram:
+    [counts.(b)] samples of value [value b], with [value] non-decreasing.
+    The result is bit-identical to [of_list] over the same samples: the
+    passes visit the samples in ascending order, one by one, as [of_list]
+    does after sorting.  It allocates nothing per sample. *)
+
 val of_ints : int list -> t
 
 val percentile : float array -> float -> float

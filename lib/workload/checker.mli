@@ -1,10 +1,12 @@
-(** Post-run verification of the URCGC correctness clauses (Definition 3.2).
+(** Verification of the URCGC correctness clauses (Definition 3.2), as a
+    fold over the processing events.
 
-    The checker replays the recorded processing events in one pass and
-    verifies:
+    A run's events are fed to one {!t}, live or replayed, and {!finish}
+    gives the verdict on:
     - {b causal ordering}: at every process, every processed message was
       processable at the moment it was processed (its origin chain was
-      gap-free and all explicit dependencies already processed);
+      gap-free and all explicit dependencies already processed); processing
+      a message twice breaks it too;
     - {b uniform atomicity} among survivors: all processes active at the end
       of the run processed exactly the same set of messages;
     - {b no zombie processing}: a message discarded by group agreement was
@@ -19,13 +21,15 @@
       (silenced + crashed <= t) and therefore the detectable liveness
       signature of beyond-budget fault load.
 
-    The pass keeps one {!Causal.Delivery} tracker per node for causal
-    order.  For atomicity it numbers the mids it meets densely and keeps one
-    byte per (survivor, mid): the survivors' processed sets are then byte
-    maps compared with [Bytes.equal].  Survivors' discards form a byte map
-    over the same numbering, and first departures an array of ticks, so the
-    pass allocates nothing per event.  Violations are listed clause by
-    clause in the order above, each clause's in event order. *)
+    Causal order, processing after leaving and partition departures are
+    judged at each event.  The fold keeps one {!Causal.Delivery} tracker per
+    node, numbers the mids it meets densely and keeps one byte per
+    (node, mid), and first departures as an array of ticks, so it allocates
+    nothing per event.  Atomicity compares the survivors' byte maps with
+    [Bytes.equal]; discarded mids that survivors processed show in the same
+    maps, and only then are the events replayed, to list them in order.
+    Violations are listed clause by clause in the order above, each
+    clause's in event order. *)
 
 type verdict = {
   causal_ok : bool;
@@ -45,9 +49,38 @@ val ok : verdict -> bool
     departures from events alone, but not view agreement (per-node view
     state is never traced). *)
 
+type t
+(** The fold's state for one run. *)
+
+val create : n:int -> t
+(** A fold over a group of [n] members.  Every node id and mid origin fed
+    to it must be below [n]. *)
+
+val deliver : t -> Net.Node_id.t -> 'a Causal.Causal_msg.t -> Sim.Ticks.t -> unit
+(** [deliver t node msg at]: [node] processed [msg] at [at].  Events come in
+    order. *)
+
+val depart : t -> Urcgc.Cluster.departure -> unit
+(** A member left, fed no later than the first event at a later tick. *)
+
+val finish :
+  t ->
+  actives:Net.Node_id.t list ->
+  view:(Net.Node_id.t -> Causal.Group_view.t) ->
+  discards:(Net.Node_id.t * Causal.Mid.t list * Sim.Ticks.t) list ->
+  iter:
+    ((Net.Node_id.t -> 'a Causal.Causal_msg.t -> Sim.Ticks.t -> unit) ->
+    unit) ->
+  verdict
+(** The verdict once the run is over: the distinct [actives] survived,
+    holding views [view node]; [discards] in order, as {!Urcgc.Cluster}
+    records them.  [iter f] replays the events fed to the fold, calling
+    [f node msg at] on each in order; it is called only when a survivor
+    processed a discarded mid. *)
+
 val check : 'a Urcgc.Cluster.t -> verdict
 (** [verify] over the cluster's members, recorded deliveries, discards and
-    departures. *)
+    departures, once the run is over. *)
 
 val verify :
   n:int ->
@@ -59,10 +92,8 @@ val verify :
   discards:(Net.Node_id.t * Causal.Mid.t list * Sim.Ticks.t) list ->
   departures:Urcgc.Cluster.departure list ->
   verdict
-(** The checker over plain inputs: a group of [n] members of which the
-    distinct [actives] survived, holding views [view node]; [iter f] calls
-    [f node msg at] on each processing event in order; [discards] and
-    [departures] in order, as {!Urcgc.Cluster} records them.  Every node id
-    and mid origin must be below [n]. *)
+(** The fold over plain inputs: {!create}, every departure, the events
+    [iter] replays, then {!finish}.  [departures] in order, as
+    {!Urcgc.Cluster} records them. *)
 
 val pp : Format.formatter -> verdict -> unit

@@ -39,26 +39,5 @@ let run ~sample core ~start ~quiescent ~submit (load : Load.t) ~rng ~max_rtd
   Sim.Prof.span "runner.run" advance;
   Sim.Prof.span "runner.reduce" reduce
 
-type latency = { remote : int; delays : float list; completion_rtd : float }
-
-let latency ~generations ~key ~at ~remote deliveries =
-  let sent_at = Hashtbl.create 256 in
-  List.iter (fun (k, t0) -> Hashtbl.replace sent_at k t0) generations;
-  let remote_count = ref 0 and completion = ref 0.0 in
-  let delays =
-    List.filter_map
-      (fun d ->
-        completion := Float.max !completion (Sim.Ticks.to_rtd (at d));
-        if not (remote d) then None
-        else begin
-          incr remote_count;
-          match Hashtbl.find_opt sent_at (key d) with
-          | None -> None
-          | Some t0 -> Some (Sim.Ticks.to_rtd (Sim.Ticks.diff (at d) t0))
-        end)
-      deliveries
-  in
-  { remote = !remote_count; delays; completion_rtd = !completion }
-
 let mean_delay_rtd (delay : Stats.Summary.t) =
   if delay.count = 0 then 0.0 else delay.mean

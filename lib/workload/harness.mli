@@ -27,23 +27,5 @@ val run :
     Under [Sim.Prof] the phases are the spans ["runner.inject"],
     ["runner.sample"], ["runner.run"] and ["runner.reduce"]. *)
 
-type latency = {
-  remote : int;  (** deliveries [remote] selected *)
-  delays : float list;
-      (** generation-to-delivery delay of each selected delivery with a
-          known generation, in rtd, in delivery order *)
-  completion_rtd : float;  (** time of the last delivery of all *)
-}
-
-val latency :
-  generations:('k * Sim.Ticks.t) list ->
-  key:('d -> 'k) ->
-  at:('d -> Sim.Ticks.t) ->
-  remote:('d -> bool) ->
-  'd list ->
-  latency
-(** Reduces a delivery log against the generation times, keyed by
-    message. *)
-
 val mean_delay_rtd : Stats.Summary.t -> float
 (** NaN-free: 0 when nothing was delivered. *)

@@ -112,6 +112,27 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   let payload_size =
     if scenario.codec_boundary then 8 else scenario.load.Load.payload_size
   in
+  (* One fold over the processing events, fed as they happen: the verdict,
+     the delays and the delivery counters. *)
+  let n = scenario.config.Urcgc.Config.n in
+  let checker = Checker.create ~n in
+  let delays = Delays.create ~n in
+  let observe = Sim.Metrics.enabled metrics in
+  Urcgc.Cluster.on_delivery cluster (fun node msg at ->
+      Checker.deliver checker node msg at;
+      let mid = msg.Causal.Causal_msg.mid in
+      let origin = (mid.origin :> int) and seq = mid.seq in
+      let own = (node :> int) = origin in
+      (* The origin processes its own message in the call that broadcasts
+         it, at the same tick: its event carries the send time, before any
+         other process can receive the message. *)
+      if own then Delays.sent delays ~origin ~seq at;
+      let delay = Delays.deliver delays ~origin ~seq ~remote:(not own) at in
+      assert (own || delay >= 0);
+      if observe && delay >= 0 then
+        Sim.Metrics.observe metrics "delivery.latency_rtd"
+          (Sim.Ticks.to_rtd (Sim.Ticks.of_int delay)));
+  Urcgc.Cluster.on_departure cluster (Checker.depart checker);
   (* Sampling: per-round maxima of history and waiting-list lengths. *)
   let history_series = ref [] in
   let history_peak = ref 0 in
@@ -146,18 +167,6 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
         ~size:payload_size cluster node id)
     scenario.load ~rng ~max_rtd:scenario.max_rtd
   @@ fun () ->
-  let generations = Urcgc.Cluster.generations cluster in
-  let latency =
-    Harness.latency
-      ~generations:
-        (List.map (fun (g : _ Urcgc.Cluster.generation) -> (g.mid, g.sent_at))
-           generations)
-      ~key:(fun (d : _ Urcgc.Cluster.delivery) -> d.msg.Causal.Causal_msg.mid)
-      ~at:(fun (d : _ Urcgc.Cluster.delivery) -> d.at)
-      ~remote:(fun { Urcgc.Cluster.node; msg; _ } ->
-        not (Net.Node_id.equal node (Causal.Mid.origin msg.Causal.Causal_msg.mid)))
-      (Urcgc.Cluster.deliveries cluster)
-  in
   let traffic = Urcgc.Medium.traffic medium in
   let fragments =
     Urcgc.Cluster.active_members cluster
@@ -166,30 +175,26 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
              (Urcgc.Member.view (Urcgc.Cluster.member cluster node)))
     |> List.sort_uniq compare |> List.length
   in
+  let discards = Urcgc.Cluster.discards cluster in
   let discarded =
-    List.fold_left
-      (fun acc (_, mids, _) -> acc + List.length mids)
-      0
-      (Urcgc.Cluster.discards cluster)
+    List.fold_left (fun acc (_, mids, _) -> acc + List.length mids) 0 discards
   in
-  if Sim.Metrics.enabled metrics then begin
-    Sim.Metrics.incr metrics ~by:(List.length generations) "messages.generated";
-    Sim.Metrics.incr metrics ~by:latency.remote "deliveries.remote";
+  let departures = Urcgc.Cluster.departures cluster in
+  if observe then begin
+    Sim.Metrics.incr metrics ~by:(Delays.generated delays) "messages.generated";
+    Sim.Metrics.incr metrics ~by:(Delays.remote delays) "deliveries.remote";
     Sim.Metrics.incr metrics ~by:discarded "messages.discarded";
-    Sim.Metrics.incr metrics
-      ~by:(List.length (Urcgc.Cluster.departures cluster))
-      "departures";
+    Sim.Metrics.incr metrics ~by:(List.length departures) "departures";
     Sim.Metrics.incr metrics ~by:(net_dropped ()) "net.drops";
     Sim.Metrics.incr metrics ~by:(net_retransmissions ()) "net.retransmissions";
-    Sim.Metrics.incr metrics ~by:(net_fragments ()) "net.fragments_sent";
-    List.iter (Sim.Metrics.observe metrics "delivery.latency_rtd") latency.delays
+    Sim.Metrics.incr metrics ~by:(net_fragments ()) "net.fragments_sent"
   end;
   {
     scenario;
-    generated = List.length generations;
-    delivered_remote = latency.remote;
-    delay = Stats.Summary.of_list latency.delays;
-    completion_rtd = latency.completion_rtd;
+    generated = Delays.generated delays;
+    delivered_remote = Delays.remote delays;
+    delay = Delays.summary delays;
+    completion_rtd = Delays.completion_rtd delays;
     subruns = Urcgc.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
     control_bytes = Net.Traffic.bytes traffic Net.Traffic.Control;
@@ -202,10 +207,14 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
     history_peak = !history_peak;
     history_series = List.rev !history_series;
     waiting_peak = !waiting_peak;
-    departures = Urcgc.Cluster.departures cluster;
+    departures;
     discarded;
     fragments;
-    verdict = Checker.check cluster;
+    verdict =
+      Checker.finish checker
+        ~actives:(Urcgc.Cluster.active_members cluster)
+        ~view:(fun node -> Urcgc.Member.view (Urcgc.Cluster.member cluster node))
+        ~discards ~iter:(Urcgc.Cluster.iter_deliveries cluster);
   }
 
 let control_msgs_per_subrun report =

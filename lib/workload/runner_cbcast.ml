@@ -95,16 +95,21 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   @@ fun () ->
   let deliveries = Cbcast.Cluster.deliveries cluster in
   let generations = Cbcast.Cluster.generations cluster in
-  let latency =
-    Harness.latency
-      ~generations:(List.map (fun (s, q, t0) -> ((s, q), t0)) generations)
-      ~key:(fun (d : _ Cbcast.Cluster.delivery) ->
-        (d.data.Cbcast.Cb_wire.sender, Cbcast.Cb_wire.seq d.data))
-      ~at:(fun (d : _ Cbcast.Cluster.delivery) -> d.at)
-      ~remote:(fun { Cbcast.Cluster.node; data; _ } ->
-        not (Net.Node_id.equal node data.Cbcast.Cb_wire.sender))
-      deliveries
-  in
+  let delays = Delays.create ~n in
+  List.iter
+    (fun ((sender : Net.Node_id.t), seq, t0) ->
+      Delays.sent delays ~origin:(sender :> int) ~seq t0)
+    generations;
+  List.iter
+    (fun { Cbcast.Cluster.node; data; at } ->
+      let sender = data.Cbcast.Cb_wire.sender in
+      ignore
+        (Delays.deliver delays
+           ~origin:(sender :> int)
+           ~seq:(Cbcast.Cb_wire.seq data)
+           ~remote:(not (Net.Node_id.equal node sender))
+           at))
+    deliveries;
   let flush_time_rtd =
     match Cbcast.Cluster.flush_starts cluster with
     | [] -> 0.0
@@ -135,9 +140,9 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   {
     name;
     generated = List.length generations;
-    delivered_remote = latency.remote;
-    delay = Stats.Summary.of_list latency.delays;
-    completion_rtd = latency.completion_rtd;
+    delivered_remote = Delays.remote delays;
+    delay = Delays.summary delays;
+    completion_rtd = Delays.completion_rtd delays;
     subruns = Cbcast.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
     control_bytes = Net.Traffic.bytes traffic Net.Traffic.Control;

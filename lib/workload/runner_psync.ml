@@ -60,23 +60,28 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
     load ~rng ~max_rtd
   @@ fun () ->
   let deliveries = Psync.Cluster.deliveries cluster in
-  let latency =
-    Harness.latency ~generations:(Psync.Cluster.generations cluster)
-      ~key:(fun (d : _ Psync.Cluster.delivery) -> d.msg.Psync.Context_graph.mid)
-      ~at:(fun (d : _ Psync.Cluster.delivery) -> d.at)
-      ~remote:(fun { Psync.Cluster.node; msg; _ } ->
-        not (Net.Node_id.equal node msg.Psync.Context_graph.mid.sender))
-      deliveries
-  in
+  let delays = Delays.create ~n in
+  List.iter
+    (fun ({ Psync.Context_graph.sender; seq }, t0) ->
+      Delays.sent delays ~origin:(sender :> int) ~seq t0)
+    (Psync.Cluster.generations cluster);
+  List.iter
+    (fun { Psync.Cluster.node; msg; at } ->
+      let { Psync.Context_graph.sender; seq } = msg.Psync.Context_graph.mid in
+      ignore
+        (Delays.deliver delays ~origin:(sender :> int) ~seq
+           ~remote:(not (Net.Node_id.equal node sender))
+           at))
+    deliveries;
   let violations = ref [] in
   let causal_ok = check_causal deliveries violations in
   let traffic = Net.Netsim.traffic net in
   {
     name;
     generated = List.length (Psync.Cluster.generations cluster);
-    delivered_remote = latency.remote;
-    delay = Stats.Summary.of_list latency.delays;
-    completion_rtd = latency.completion_rtd;
+    delivered_remote = Delays.remote delays;
+    delay = Delays.summary delays;
+    completion_rtd = Delays.completion_rtd delays;
     subruns = Psync.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
     recovery_msgs = Net.Traffic.count traffic Net.Traffic.Recovery;

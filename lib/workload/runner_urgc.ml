@@ -22,18 +22,20 @@ let simulate ~n ~k ~load ~fault ~seed ~max_rtd () =
   @@ fun () -> cluster
 
 let report cluster =
-  let latency =
-    Harness.latency ~generations:(Urgc.Cluster.generations cluster)
-      ~key:(fun (d : _ Urgc.Cluster.delivery) -> d.data.Urgc.Total_wire.mid)
-      ~at:(fun (d : _ Urgc.Cluster.delivery) -> d.at)
-      ~remote:(fun _ -> true)
-      (Urgc.Cluster.deliveries cluster)
-  in
+  let delays = Delays.create ~n:(List.length (Urgc.Cluster.members cluster)) in
+  List.iter
+    (fun ({ Causal.Mid.origin; seq }, t0) ->
+      Delays.sent delays ~origin:(origin :> int) ~seq t0)
+    (Urgc.Cluster.generations cluster);
+  List.iter
+    (fun { Urgc.Cluster.data = { Urgc.Total_wire.mid = { origin; seq }; _ }; at; _ } ->
+      ignore (Delays.deliver delays ~origin:(origin :> int) ~seq ~remote:true at))
+    (Urgc.Cluster.deliveries cluster);
   {
     generated = List.length (Urgc.Cluster.generations cluster);
-    processed = latency.remote;
-    delay = Stats.Summary.of_list latency.delays;
-    completion_rtd = latency.completion_rtd;
+    processed = Delays.remote delays;
+    delay = Delays.summary delays;
+    completion_rtd = Delays.completion_rtd delays;
     subruns = Urgc.Cluster.subrun cluster;
     total_order_ok = Urgc.Cluster.total_order_ok cluster;
   }

@@ -105,6 +105,92 @@ let sort_property =
       let bits = Array.map Int64.bits_of_float in
       bits expected = bits got)
 
+(* [Workload.Delays] summarizes integer tick delays by counting them in a
+   histogram; its summary must be [of_list] over the delays in rtd, bit for
+   bit (the report's printed figures and the e2ebench pins depend on it). *)
+let summary_bits (s : Stats.Summary.t) =
+  ( s.count,
+    List.map Int64.bits_of_float
+      [ s.mean; s.stddev; s.min; s.max; s.p50; s.p95; s.p99 ] )
+
+let counted ticks =
+  let delays = Workload.Delays.create ~n:1 in
+  List.iteri
+    (fun seq tick ->
+      Workload.Delays.sent delays ~origin:0 ~seq Sim.Ticks.zero;
+      ignore
+        (Workload.Delays.deliver delays ~origin:0 ~seq ~remote:true
+           (Sim.Ticks.of_int tick)))
+    ticks;
+  Workload.Delays.summary delays
+
+let counting_matches ticks =
+  summary_bits (counted ticks)
+  = summary_bits
+      (Stats.Summary.of_list
+         (List.map (fun t -> Sim.Ticks.to_rtd (Sim.Ticks.of_int t)) ticks))
+
+let counting_property =
+  let ticks =
+    QCheck.Gen.(
+      oneof
+        [
+          (* few distinct values: many duplicates *)
+          list_size (int_bound 200) (int_bound 8);
+          list_size (int_bound 200) (int_bound 5_000);
+          (* a few large ticks among small ones *)
+          list_size (int_bound 20)
+            (frequency [ (4, int_bound 300); (1, int_range 100_000 400_000) ]);
+        ])
+  in
+  QCheck.Test.make
+    ~name:"counting summary is of_list over the delays in rtd, bit for bit"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list int) ticks)
+    counting_matches
+
+let counting_tests =
+  let case name ticks =
+    Alcotest.test_case ("counting summary: " ^ name) `Quick (fun () ->
+        Alcotest.(check bool) name true (counting_matches ticks))
+  in
+  [
+    case "empty" [];
+    case "one sample" [ 37 ];
+    case "one sample at tick 0" [ 0 ];
+    case "duplicates only" (List.init 1000 (fun _ -> 45));
+    case "large ticks" [ 3; 1_000_000; 48; 999_999; 1_000_000 ];
+    Alcotest.test_case "counting summary allocates nothing per sample" `Quick
+      (fun () ->
+        let delays = Workload.Delays.create ~n:4 in
+        let samples = 400_000 and spread = 1_000 in
+        let feed () =
+          for i = 0 to samples - 1 do
+            let origin = i mod 4 and seq = i / 4 in
+            Workload.Delays.sent delays ~origin ~seq Sim.Ticks.zero;
+            ignore
+              (Workload.Delays.deliver delays ~origin ~seq ~remote:true
+                 (Sim.Ticks.of_int (i mod spread)))
+          done
+        in
+        (* The first pass grows the tables; the second must allocate
+           nothing, and the summary only per histogram bucket. *)
+        feed ();
+        let before = Gc.minor_words () in
+        feed ();
+        let fed = Gc.minor_words () -. before in
+        let before = Gc.minor_words () in
+        let summary = Workload.Delays.summary delays in
+        let summarized = Gc.minor_words () -. before in
+        Alcotest.(check int) "count" (2 * samples) summary.Stats.Summary.count;
+        if fed > 0.0 then
+          Alcotest.failf "re-feeding %d samples allocated %.0f words" samples fed;
+        if summarized > float_of_int (20 * spread) then
+          Alcotest.failf "the summary of %d samples in %d buckets allocated \
+                          %.0f words"
+            (2 * samples) spread summarized);
+  ]
+
 let allocation_tests =
   [
     Alcotest.test_case "of_list allocates under 4 words per sample" `Quick
@@ -242,9 +328,9 @@ let analytic_tests =
 let suite =
   [
     ( "stats.summary",
-      summary_tests @ allocation_tests
+      summary_tests @ allocation_tests @ counting_tests
       @ List.map QCheck_alcotest.to_alcotest
-          (sort_property :: percentile_properties) );
+          (sort_property :: counting_property :: percentile_properties) );
     ("stats.series", series_tests);
     ("stats.table", table_tests);
     ("stats.analytic", analytic_tests);

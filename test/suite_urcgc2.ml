@@ -17,6 +17,26 @@ let build ?(n = 4) ?(k = 3) ?silence_limit ?(fault = Net.Fault.reliable)
 
 let sap_tests =
   [
+    Alcotest.test_case "delivery and indication callbacks fire in \
+                        registration order"
+      `Quick (fun () ->
+        let engine, _net, cluster = build () in
+        let fired = ref [] in
+        let note tag = fired := tag :: !fired in
+        Urcgc.Cluster.on_delivery cluster (fun at _ _ ->
+            if Net.Node_id.equal at (node 1) then note "delivery a");
+        let sap = Urcgc.Sap.attach cluster (node 1) in
+        Urcgc.Sap.on_data_ind sap (fun ~mid:_ ~deps:_ _ -> note "indication a");
+        Urcgc.Sap.on_data_ind sap (fun ~mid:_ ~deps:_ _ -> note "indication b");
+        Urcgc.Cluster.on_delivery cluster (fun at _ _ ->
+            if Net.Node_id.equal at (node 1) then note "delivery b");
+        Urcgc.Cluster.submit cluster (node 0) ();
+        Urcgc.Cluster.start cluster;
+        Sim.Engine.run engine ~until:(Sim.Ticks.of_rtd 2.0);
+        Alcotest.(check (list string))
+          "one processing event at p1"
+          [ "delivery a"; "indication a"; "indication b"; "delivery b" ]
+          (List.rev !fired));
     Alcotest.test_case "data_rq confirms and indications fire everywhere"
       `Quick (fun () ->
         let engine, _net, cluster = build () in
