@@ -29,8 +29,8 @@ let run () =
   let analysis = Sim.Analysis.analyze ~n:spec.Workload.Campaign.n records in
   Format.printf "%a@.@." Sim.Analysis.pp_summary analysis;
   Format.printf "checker-vs-oracle agreement: %b@."
-    (Workload.Analyzer.agrees report.Workload.Runner.verdict
-       analysis.Sim.Analysis.verdict);
+    (Workload.Checker.agrees report.Workload.Runner.verdict
+       (Workload.Checker.of_oracle analysis.Sim.Analysis.verdict));
   (* Analyzer cost on this trace: full JSONL round-trip plus analysis. *)
   let lines = List.map Sim.Trace.json_of_record records in
   let t0 = Sys.time () in

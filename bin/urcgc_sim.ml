@@ -283,7 +283,7 @@ let run_analyze file out perfetto =
               write_file path (Sim.Analysis.perfetto_json records ^ "\n"))
             perfetto;
           Format.eprintf "%a@." Sim.Analysis.pp_summary analysis;
-          if Sim.Analysis.verdict_ok analysis.Sim.Analysis.verdict then 0
+          if Sim.Oracle.ok analysis.Sim.Analysis.verdict then 0
           else 1)
 
 let analyze_out_arg =
@@ -403,9 +403,9 @@ let campaign_analyze_arg =
     & flag
     & info [ "analyze" ]
         ~doc:
-          "Trace every run, feed it through the offline trace oracle, and \
-           embed the per-run analysis report plus the checker-vs-oracle \
-           agreement bit in the JSON output.")
+          "Trace every run, feed the trace to the invariant oracle, and \
+           embed the per-run analysis report plus the bit saying it agrees \
+           with the live checker in the JSON output.")
 
 let run_campaign budget seed over_budget no_shrink with_metrics with_analysis
     jobs profile out =
@@ -534,8 +534,8 @@ let run_replay n k rate messages send_omission recv_omission link_loss
       let analysis = Sim.Analysis.analyze ~n (Sim.Trace.records tracer) in
       Format.printf "@[<v 2>analysis:@ %a@]@." Sim.Analysis.pp_summary analysis;
       let agrees =
-        Workload.Analyzer.agrees report.Workload.Runner.verdict
-          analysis.Sim.Analysis.verdict
+        Workload.Checker.agrees report.Workload.Runner.verdict
+          (Workload.Checker.of_oracle analysis.Sim.Analysis.verdict)
       in
       if not agrees then
         Format.printf "replay: trace oracle disagrees with the live checker@.";

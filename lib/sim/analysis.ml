@@ -8,9 +8,9 @@
      confirm -> group-wide stability, with latency, waiting-list residency,
      retransmission/recovery counts, coordinator decision load, and drop
      attribution;
-   - a trace-level invariant oracle re-checking causal order, at-most-once
-     delivery, uniform atomicity among survivors, and zombie processing
-     purely from events — independently of the live Workload.Checker;
+   - the trace feed of the invariant oracle (Oracle): processing,
+     departure and discard events, with each message's causal past taken
+     from its origin's frontier at the broadcast;
    - deterministic exports: a canonical single-line JSON report and a
      Chrome trace-event (Perfetto) timeline.
 
@@ -98,20 +98,6 @@ type span = {
   discards : int;
 }
 
-type verdict = {
-  causal_ok : bool;
-  at_most_once_ok : bool;
-  atomicity_ok : bool;
-  zombie_ok : bool;
-  partition_ok : bool;
-  skipped : string list;
-  violations : string list;
-}
-
-let verdict_ok v =
-  v.causal_ok && v.at_most_once_ok && v.atomicity_ok && v.zombie_ok
-  && v.partition_ok
-
 type t = {
   nodes : int;
   coverage : coverage;
@@ -128,31 +114,23 @@ type t = {
   drops_by_class : (Trace.Traffic_class.t * int) list;
   crashed : int list;
   left : int list;
-  verdict : verdict;
+  verdict : Oracle.verdict;
   metrics_json : string option;
 }
 
 (* -- analysis ------------------------------------------------------------- *)
 
-module Mid_key = struct
-  type t = int * int
-
-  let compare = compare
-end
-
-module Mid_set = Set.Make (Mid_key)
-
 (* Mutable per-message accumulator; frozen into a [span] at the end. *)
 type acc = {
   a_mid : Trace.mid;
   a_broadcast_tick : int;
-  (* The origin's delivery vector at the broadcast instant (last delivered
-     seq per origin), and how many entries were nonzero.  When the traced
-     [deps] count equals the nonzero count, the message was frontier-labelled
-     and the vector IS its causal past; otherwise the deps are explicit and
-     narrower, and the oracle falls back to origin-chain causality only. *)
-  a_vector : int array;
-  a_frontier : bool;
+  (* The message's causal past for the oracle: the origin's chain vector
+     at the broadcast instant (last processed seq per origin) when the
+     traced [deps] count equals its nonzero count — the message was
+     frontier-labelled, and the vector IS its causal past.  Otherwise the
+     deps are explicit and narrower, and the oracle checks origin-chain
+     contiguity only ([||]). *)
+  a_need : int array;
   a_deps : int;
   a_bytes : int;
   a_dsts : int;
@@ -235,19 +213,13 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
         let last = List.fold_left (fun _ r -> r) first records in
         (Ticks.to_int first.Trace.time, Ticks.to_int last.Trace.time)
   in
-  (* Per-node state. *)
-  let vectors = Array.init n (fun _ -> Array.make (Stdlib.max n 1) 0) in
-  let seen_chain = Hashtbl.create 64 in  (* (node, origin) -> last seq seen *)
-  let delivered : Mid_set.t array = Array.make (Stdlib.max n 1) Mid_set.empty in
+  (* The verdict is the oracle's; this is its trace feed. *)
+  let oracle = Oracle.create ~n ~from_start:complete in
   let pending_waits = Hashtbl.create 64 in  (* (node, mid key) -> tick *)
-  let accs : (Mid_key.t, acc) Hashtbl.t = Hashtbl.create 64 in
+  let accs : (int * int, acc) Hashtbl.t = Hashtbl.create 64 in
   let pre_window = Hashtbl.create 16 in
   let crashed = Hashtbl.create 8 in
   let left = Hashtbl.create 8 in
-  (* Discards per discarding node: only the discards of nodes that turn out
-     to be survivors witness group agreement (a departed member may have
-     purged orphans under a solo decision nobody else holds). *)
-  let discarded_by : (int, Mid_set.t) Hashtbl.t = Hashtbl.create 8 in
   let rotations = Array.make (Stdlib.max n 1) 0 in
   let decisions = Array.make (Stdlib.max n 1) 0 in
   let recover_reqs = ref [] in  (* (origin, from, to) *)
@@ -256,18 +228,6 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
   let recovered_messages = ref 0 in
   let drops_stage = Hashtbl.create 8 in
   let drops_class = Hashtbl.create 8 in
-  let violations = ref [] in
-  let causal_ok = ref true in
-  let amo_ok = ref true in
-  let zombie_ok = ref true in
-  let partition_ok = ref true in
-  let violation flag fmt =
-    Printf.ksprintf
-      (fun msg ->
-        flag := false;
-        violations := msg :: !violations)
-      fmt
-  in
   let key (m : Trace.mid) = (m.Trace.origin, m.Trace.seq) in
   let note_pre_window k =
     if not (Hashtbl.mem pre_window k) then Hashtbl.replace pre_window k () in
@@ -283,14 +243,13 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
              lifecycle start is outside the window. *)
           note_pre_window k
         else begin
-          let vector = Array.copy vectors.(src) in
+          let vector = Oracle.frontier oracle src in
           let nonzero = Array.fold_left (fun acc v -> if v > 0 then acc + 1 else acc) 0 vector in
           Hashtbl.replace accs k
             {
               a_mid = { Trace.origin; seq };
               a_broadcast_tick = tick;
-              a_vector = vector;
-              a_frontier = complete && nonzero = deps;
+              a_need = (if complete && nonzero = deps then vector else [||]);
               a_deps = deps;
               a_bytes = bytes;
               a_dsts = dsts;
@@ -311,66 +270,24 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
     let k = key mid in
     let origin = mid.Trace.origin in
     let seq = mid.Trace.seq in
-    if node < 0 || node >= n || origin < 0 || origin >= n then
-      violation causal_ok "node or origin out of range in deliver of (%d,%d)"
-        origin seq
-    else begin
-      (* A departed process must not keep processing: same-tick events
-         belong to the action batch that contained the departure, anything
-         strictly later is zombie processing. *)
-      (match Hashtbl.find_opt left node with
-      | Some left_tick when tick > left_tick ->
-          violation zombie_ok
-            "zombie: node %d processed (%d,%d) at tick %d after leaving at \
-             tick %d"
-            node origin seq tick left_tick
-      | _ -> ());
-      (* At-most-once. *)
-      if Mid_set.mem k delivered.(node) then
-        violation amo_ok "node %d processed (%d,%d) more than once" node origin
-          seq
-      else begin
-        delivered.(node) <- Mid_set.add k delivered.(node);
-        (* Origin-chain contiguity (the per-origin FIFO half of causality). *)
-        (match Hashtbl.find_opt seen_chain (node, origin) with
-        | Some last ->
-            if seq <> last + 1 then
-              violation causal_ok
-                "node %d processed (%d,%d) out of order (expected seq %d)"
-                node origin seq (last + 1);
-            Hashtbl.replace seen_chain (node, origin) (Stdlib.max last seq)
-        | None ->
-            if complete && seq <> 1 then
-              violation causal_ok
-                "node %d processed (%d,%d) before the start of its chain" node
-                origin seq;
-            Hashtbl.replace seen_chain (node, origin) seq);
-        (* Cross-origin causal past, when the label was the full frontier. *)
-        (match Hashtbl.find_opt accs k with
-        | None -> note_pre_window k
-        | Some acc ->
-            if acc.a_frontier then
-              Array.iteri
-                (fun j need ->
-                  if j <> origin && need > vectors.(node).(j) then
-                    violation causal_ok
-                      "node %d processed (%d,%d) before its causal \
-                       predecessor (%d,%d)"
-                      node origin seq j need)
-                acc.a_vector;
-            acc.a_deliveries <- (node, tick) :: acc.a_deliveries);
-        if seq > vectors.(node).(origin) then vectors.(node).(origin) <- seq;
-        (* Waiting-list residency ends at processing. *)
-        match Hashtbl.find_opt pending_waits (node, k) with
-        | None -> ()
-        | Some wtick ->
-            Hashtbl.remove pending_waits (node, k);
-            let residency = tick - wtick in
-            waiting_samples := residency :: !waiting_samples;
-            (match Hashtbl.find_opt accs k with
-            | Some acc -> acc.a_waiting_ticks <- acc.a_waiting_ticks + residency
-            | None -> ())
-      end
+    let again = Oracle.processed oracle ~node ~origin ~seq in
+    let acc = Hashtbl.find_opt accs k in
+    let need = match acc with Some a -> a.a_need | None -> [||] in
+    Oracle.deliver oracle ~node ~origin ~seq ~need ~at:tick;
+    if not again then begin
+      (match acc with
+      | None -> note_pre_window k
+      | Some acc -> acc.a_deliveries <- (node, tick) :: acc.a_deliveries);
+      (* Waiting-list residency ends at processing. *)
+      match Hashtbl.find_opt pending_waits (node, k) with
+      | None -> ()
+      | Some wtick ->
+          Hashtbl.remove pending_waits (node, k);
+          let residency = tick - wtick in
+          waiting_samples := residency :: !waiting_samples;
+          (match acc with
+          | Some acc -> acc.a_waiting_ticks <- acc.a_waiting_ticks + residency
+          | None -> ())
     end
   in
   List.iter
@@ -422,10 +339,8 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
           List.iter
             (fun mid ->
               let k = key mid in
-              Hashtbl.replace discarded_by node
-                (Mid_set.add k
-                   (Option.value ~default:Mid_set.empty
-                      (Hashtbl.find_opt discarded_by node)));
+              Oracle.discard oracle ~node ~origin:mid.Trace.origin
+                ~seq:mid.Trace.seq;
               Hashtbl.remove pending_waits (node, k);
               match Hashtbl.find_opt accs k with
               | Some acc -> acc.a_discards <- acc.a_discards + 1
@@ -437,14 +352,9 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
       | Trace.Left { node; reason } ->
           if not (Hashtbl.mem left node) then Hashtbl.replace left node tick;
           (* The reason string is the wire-stable rendering of
-             [Urcgc.Member.reason_to_string] (docs/TRACE.md).  A solo-view
-             departure means the group lost its primary partition — never
-             legitimate within the fault budget. *)
-          if reason = "partitioned (solo view)" then
-            violation partition_ok
-              "liveness: node %d left with a solo view at tick %d — the \
-               group lost its primary partition"
-              node tick
+             [Urcgc.Member.reason_to_string] (docs/TRACE.md). *)
+          Oracle.depart oracle ~node ~at:tick
+            ~partitioned:(reason = "partitioned (solo view)")
       | Trace.Crash { node } -> Hashtbl.replace crashed node ()
       | Trace.Drop { stage; kind; _ } ->
           let bump table k =
@@ -461,60 +371,15 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
       (fun i -> not (Hashtbl.mem crashed i || Hashtbl.mem left i))
       (List.init n Fun.id)
   in
-  let skipped = ref [] in
-  (* Uniform atomicity among survivors (complete traces only: a missing
-     prefix hides deliveries and would false-flag every survivor). *)
-  let atomicity_ok = ref true in
-  if not complete then
-    skipped :=
-      "atomicity: trace window is truncated, per-node delivery sets are \
-       incomplete"
-      :: !skipped
-  else begin
-    match survivors with
-    | [] -> ()
-    | first :: rest ->
-        let reference = delivered.(first) in
+  let verdict =
+    Oracle.finish oracle ~survivors ~agreement:[] ~replay:(fun f ->
         List.iter
-          (fun node ->
-            if not (Mid_set.equal delivered.(node) reference) then begin
-              let only_ref = Mid_set.diff reference delivered.(node) in
-              let only_node = Mid_set.diff delivered.(node) reference in
-              violation atomicity_ok
-                "atomicity: nodes %d and %d disagree (%d messages only at \
-                 %d, %d only at %d)"
-                first node
-                (Mid_set.cardinal only_ref)
-                first
-                (Mid_set.cardinal only_node)
-                node
-            end)
-          rest
-  end;
-  (* Zombie processing: survivors must not have processed a mid that a
-     survivor discarded by group agreement. *)
-  let discarded =
-    List.fold_left
-      (fun acc node ->
-        match Hashtbl.find_opt discarded_by node with
-        | Some set -> Mid_set.union acc set
-        | None -> acc)
-      Mid_set.empty survivors
+          (function
+            | { Trace.time; event = Trace.Deliver { node; mid } } ->
+                f node mid.Trace.origin mid.Trace.seq (Ticks.to_int time)
+            | _ -> ())
+          records)
   in
-  List.iter
-    (fun node ->
-      Mid_set.iter
-        (fun (origin, seq) ->
-          if Mid_set.mem (origin, seq) delivered.(node) then
-            violation zombie_ok
-              "zombie: surviving node %d processed discarded message (%d,%d)"
-              node origin seq)
-        discarded)
-    survivors;
-  if not complete then
-    skipped :=
-      "causal: cross-origin dependency checks limited to the trace window"
-      :: !skipped;
   (* Freeze spans. *)
   let spans =
     Hashtbl.fold (fun _ acc l -> acc :: l) accs []
@@ -632,16 +497,7 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
         Trace.Traffic_class.all;
     crashed = List.sort compare (Hashtbl.fold (fun k () l -> k :: l) crashed []);
     left = List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) left []);
-    verdict =
-      {
-        causal_ok = !causal_ok;
-        at_most_once_ok = !amo_ok;
-        atomicity_ok = !atomicity_ok;
-        zombie_ok = !zombie_ok;
-        partition_ok = !partition_ok;
-        skipped = List.rev !skipped;
-        violations = List.rev !violations;
-      };
+    verdict;
     metrics_json;
   }
 
@@ -662,6 +518,16 @@ let as_int name = function
 let as_nat name v =
   let n = as_int name v in
   if n < 0 then fail "field %S must be non-negative" name else n
+
+let max_nodes = 1024
+
+(* A node or origin index: the analysis allocates per-node vectors of the
+   group size, so an index is refused before it can size anything. *)
+let as_node name v =
+  let i = as_nat name v in
+  if i >= max_nodes then
+    fail "field %S: node index %d is at or above the cap of %d" name i max_nodes
+  else i
 
 let as_string name = function
   | Json.Str s -> s
@@ -688,7 +554,7 @@ let pdu_of_json json =
             fields;
           Trace.Data
             {
-              origin = as_nat "origin" (f "origin");
+              origin = as_node "origin" (f "origin");
               seq = as_nat "seq" (f "seq");
               deps = as_nat "deps" (f "deps");
               bytes = as_nat "bytes" (f "bytes");
@@ -697,7 +563,7 @@ let pdu_of_json json =
           check_layout "request pdu" [ "kind"; "sender"; "subrun" ] fields;
           Trace.Request
             {
-              sender = as_nat "sender" (f "sender");
+              sender = as_node "sender" (f "sender");
               subrun = as_nat "subrun" (f "subrun");
             }
       | Some (Json.Str "decision") ->
@@ -707,7 +573,7 @@ let pdu_of_json json =
           Trace.Decision
             {
               subrun = as_nat "subrun" (f "subrun");
-              coordinator = as_nat "coordinator" (f "coordinator");
+              coordinator = as_node "coordinator" (f "coordinator");
               full_group = as_bool "full_group" (f "full_group");
             }
       | Some (Json.Str "recover_req") ->
@@ -716,8 +582,8 @@ let pdu_of_json json =
             fields;
           Trace.Recover_req
             {
-              requester = as_nat "requester" (f "requester");
-              origin = as_nat "origin" (f "origin");
+              requester = as_node "requester" (f "requester");
+              origin = as_node "origin" (f "origin");
               from_seq = as_nat "from" (f "from");
               to_seq = as_nat "to" (f "to");
             }
@@ -726,7 +592,7 @@ let pdu_of_json json =
             fields;
           Trace.Recover_reply
             {
-              responder = as_nat "responder" (f "responder");
+              responder = as_node "responder" (f "responder");
               count = as_nat "count" (f "count");
             }
       | Some (Json.Str other) -> fail "unknown pdu kind %S" other
@@ -736,7 +602,7 @@ let pdu_of_json json =
 
 let mid_of_json = function
   | Json.List [ Json.Int origin; Json.Int seq ] when origin >= 0 && seq >= 0 ->
-      { Trace.origin; seq }
+      { Trace.origin = as_node "mids" (Json.Int origin); seq }
   | _ -> fail "mids entries must be [origin,seq] integer pairs"
 
 let record_of_json json =
@@ -745,62 +611,41 @@ let record_of_json json =
       let time = Ticks.of_int (as_nat "t" t) in
       let f name = List.assoc name fields in
       let layout extra = check_layout ev ("t" :: "ev" :: extra) fields in
+      let node () = as_node "node" (f "node") in
+      let mid () =
+        { Trace.origin = as_node "origin" (f "origin"); seq = as_nat "seq" (f "seq") }
+      in
       let event =
         match ev with
         | "send" ->
             layout [ "src"; "dst"; "pdu" ];
             Trace.Send
               {
-                src = as_nat "src" (f "src");
-                dst = as_nat "dst" (f "dst");
+                src = as_node "src" (f "src");
+                dst = as_node "dst" (f "dst");
                 pdu = pdu_of_json (f "pdu");
               }
         | "broadcast" ->
             layout [ "src"; "dsts"; "pdu" ];
             Trace.Broadcast
               {
-                src = as_nat "src" (f "src");
+                src = as_node "src" (f "src");
                 dsts = as_nat "dsts" (f "dsts");
                 pdu = pdu_of_json (f "pdu");
               }
         | "recv" ->
             layout [ "node"; "pdu" ];
-            Trace.Receive
-              { node = as_nat "node" (f "node"); pdu = pdu_of_json (f "pdu") }
+            Trace.Receive { node = node (); pdu = pdu_of_json (f "pdu") }
         | "deliver" ->
             layout [ "node"; "origin"; "seq" ];
-            Trace.Deliver
-              {
-                node = as_nat "node" (f "node");
-                mid =
-                  {
-                    Trace.origin = as_nat "origin" (f "origin");
-                    seq = as_nat "seq" (f "seq");
-                  };
-              }
+            Trace.Deliver { node = node (); mid = mid () }
         | "confirm" ->
             layout [ "node"; "origin"; "seq" ];
-            Trace.Confirm
-              {
-                node = as_nat "node" (f "node");
-                mid =
-                  {
-                    Trace.origin = as_nat "origin" (f "origin");
-                    seq = as_nat "seq" (f "seq");
-                  };
-              }
+            Trace.Confirm { node = node (); mid = mid () }
         | "wait_add" ->
             layout [ "node"; "origin"; "seq"; "depth" ];
             Trace.Wait_add
-              {
-                node = as_nat "node" (f "node");
-                mid =
-                  {
-                    Trace.origin = as_nat "origin" (f "origin");
-                    seq = as_nat "seq" (f "seq");
-                  };
-                depth = as_nat "depth" (f "depth");
-              }
+              { node = node (); mid = mid (); depth = as_nat "depth" (f "depth") }
         | "wait_discard" ->
             layout [ "node"; "mids" ];
             let mids =
@@ -808,24 +653,20 @@ let record_of_json json =
               | Json.List entries -> List.map mid_of_json entries
               | _ -> fail "field \"mids\" must be an array"
             in
-            Trace.Wait_discard { node = as_nat "node" (f "node"); mids }
+            Trace.Wait_discard { node = node (); mids }
         | "rotate" ->
             layout [ "subrun"; "coordinator" ];
             Trace.Rotate
               {
                 subrun = as_nat "subrun" (f "subrun");
-                coordinator = as_nat "coordinator" (f "coordinator");
+                coordinator = as_node "coordinator" (f "coordinator");
               }
         | "left" ->
             layout [ "node"; "reason" ];
-            Trace.Left
-              {
-                node = as_nat "node" (f "node");
-                reason = as_string "reason" (f "reason");
-              }
+            Trace.Left { node = node (); reason = as_string "reason" (f "reason") }
         | "crash" ->
             layout [ "node" ];
-            Trace.Crash { node = as_nat "node" (f "node") }
+            Trace.Crash { node = node () }
         | "drop" ->
             layout [ "src"; "dst"; "kind"; "stage" ];
             let kind =
@@ -841,7 +682,7 @@ let record_of_json json =
               | None -> fail "unknown drop stage %S" s
             in
             Trace.Drop
-              { src = as_nat "src" (f "src"); dst = as_nat "dst" (f "dst"); kind; stage }
+              { src = as_node "src" (f "src"); dst = as_node "dst" (f "dst"); kind; stage }
         | "note" ->
             layout [ "source"; "message" ];
             Trace.Note
@@ -933,7 +774,7 @@ let report_json t =
     t.coverage.events t.coverage.pre_window_mids;
   Printf.bprintf buf
     ",\"verdict\":{\"ok\":%b,\"causal_ok\":%b,\"at_most_once_ok\":%b,\"atomicity_ok\":%b,\"zombie_ok\":%b,\"partition_ok\":%b,\"checks_skipped\":"
-    (verdict_ok t.verdict) t.verdict.causal_ok t.verdict.at_most_once_ok
+    (Oracle.ok t.verdict) t.verdict.causal_ok t.verdict.at_most_once_ok
     t.verdict.atomicity_ok t.verdict.zombie_ok t.verdict.partition_ok;
   buf_string_list buf t.verdict.skipped;
   Buffer.add_string buf ",\"violations\":";
@@ -1185,7 +1026,7 @@ let pp_summary ppf t =
             (fun (stage, c) ->
               Printf.sprintf "%s %d" (Trace.stage_to_string stage) c)
             t.drops_by_stage));
-  (if verdict_ok t.verdict then
+  (if Oracle.ok t.verdict then
      Format.fprintf ppf
        "oracle: OK (causal, at-most-once, atomicity, no-zombie)"
    else begin

@@ -7,10 +7,12 @@
     trace-event (Perfetto) timeline.
 
     The analyzer sits below the protocol libraries, so nodes are integer
-    indices and messages are [(origin, seq)] pairs, exactly as traced.  It
-    tolerates bounded-ring truncation: when the trace is a suffix of the run
-    it reports a coverage window and skips the checks a missing prefix would
-    false-flag, instead of reporting spurious violations. *)
+    indices and messages are [(origin, seq)] pairs, exactly as traced.  The
+    verdict is {!Oracle}'s, fed with the trace's processing, departure and
+    discard events.  It tolerates bounded-ring truncation: when the trace is
+    a suffix of the run it reports a coverage window and skips the checks a
+    missing prefix would false-flag, instead of reporting spurious
+    violations. *)
 
 type dist = {
   count : int;
@@ -61,27 +63,6 @@ type span = {
 (** One message lifecycle: broadcast through per-node processing to
     group-wide stability. *)
 
-type verdict = {
-  causal_ok : bool;
-  at_most_once_ok : bool;
-  atomicity_ok : bool;
-  zombie_ok : bool;
-      (** no survivor processed a discarded mid, and no node processed
-          anything at a tick strictly after its [left] event *)
-  partition_ok : bool;
-      (** no [left] event carries the solo-view (primary partition lost)
-          reason; see docs/TRACE.md *)
-  skipped : string list;
-      (** checks suppressed because the window is truncated *)
-  violations : string list;
-}
-(** Trace-level invariant oracle outcome.  The bits line up with
-    [Workload.Checker.verdict] (minus view agreement, which is not derivable
-    from the trace), which is what the cross-validation property test
-    compares. *)
-
-val verdict_ok : verdict -> bool
-
 type t = {
   nodes : int;
   coverage : coverage;
@@ -98,7 +79,7 @@ type t = {
   drops_by_class : (Trace.Traffic_class.t * int) list;
   crashed : int list;
   left : int list;
-  verdict : verdict;
+  verdict : Oracle.verdict;
   metrics_json : string option;
       (** the trailing metrics line of the JSONL input, verbatim, if any *)
 }
@@ -115,10 +96,18 @@ val analyze :
     at tick 0; pass [~complete:true] for synthetic event lists that skip the
     preamble.  [metrics_json] is stored verbatim in the result. *)
 
+val max_nodes : int
+(** 1,024: the parsers refuse any node or origin index at or above it.
+    Analysis allocates per-node vectors of the group size (one past the
+    highest index), so one hostile line could otherwise size them; the cap
+    leaves headroom over the largest group any bench or test runs
+    (n = 512). *)
+
 val parse_line : string -> (Trace.record, string) result
 (** Parse one JSONL line against the [docs/TRACE.md] schema.  Strict: the
     exact documented field names, order, and types are enforced, and unknown
-    events, pdu kinds, drop kinds, or stages are errors. *)
+    events, pdu kinds, drop kinds, or stages are errors, as is a node or
+    origin index of {!max_nodes} or more. *)
 
 val parse_jsonl :
   string list -> (Trace.record list * string option, string) result

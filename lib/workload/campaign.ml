@@ -444,7 +444,8 @@ let run ?(over_budget = false) ?(shrink_failures = true) ?(with_metrics = false)
           oracle_agrees =
             Option.map
               (fun a ->
-                Analyzer.agrees report.Runner.verdict a.Sim.Analysis.verdict)
+                Checker.agrees report.Runner.verdict
+                  (Checker.of_oracle a.Sim.Analysis.verdict))
               analysis;
         } in
         if !Sim.Prof.on then Sim.Prof.exit ();

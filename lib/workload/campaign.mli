@@ -108,8 +108,8 @@ type run = {
       (** per-run [Sim.Analysis] report JSON; present iff the campaign ran
           with [with_analysis] *)
   oracle_agrees : bool option;
-      (** whether the trace oracle's verdict agrees with the live checker's
-          ({!Analyzer.agrees}); present iff [with_analysis] *)
+      (** whether the oracle fed from the run's trace agrees with the live
+          checker ({!Checker.agrees}); present iff [with_analysis] *)
 }
 
 type t = {
@@ -131,9 +131,9 @@ val run :
 (** Run a whole campaign.  [shrink_failures] (default true) minimizes every
     failing run.  [with_metrics] (default false) records a fresh
     {!Sim.Metrics} registry per run and embeds its JSON in the report.
-    [with_analysis] (default false) traces every run, feeds it through the
-    offline [Sim.Analysis] oracle, and embeds the analysis report plus the
-    checker-vs-oracle agreement bit.
+    [with_analysis] (default false) traces every run, feeds the trace to the
+    oracle through [Sim.Analysis], and embeds the analysis report plus the
+    bit saying it agrees with the live checker.
 
     [jobs] (default 1) is the {!Sim.Pool} worker count for the parallel
     phases; [0] means the detected core count.  Spec generation stays

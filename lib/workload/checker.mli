@@ -1,35 +1,14 @@
-(** Verification of the URCGC correctness clauses (Definition 3.2), as a
-    fold over the processing events.
+(** The urcgc feed of {!Sim.Oracle}, and its verdict.
 
-    A run's events are fed to one {!t}, live or replayed, and {!finish}
-    gives the verdict on:
-    - {b causal ordering}: at every process, every processed message was
-      processable at the moment it was processed (its origin chain was
-      gap-free and all explicit dependencies already processed); processing
-      a message twice breaks it too;
-    - {b uniform atomicity} among survivors: all processes active at the end
-      of the run processed exactly the same set of messages;
-    - {b no zombie processing}: a message discarded by group agreement was
-      never processed by a surviving process, and no process processed
-      anything at a tick strictly after it left the group;
-    - {b view agreement}: all surviving processes hold the same group view
-      (Section 4, assumption 4);
-    - {b primary partition}: no member departed with reason
-      {!Urcgc.Member.Partitioned}.  Such a departure means a member's
-      adopted view degenerated to itself alone, i.e. the group lost its
-      primary partition — impossible within the fault budget
-      (silenced + crashed <= t) and therefore the detectable liveness
-      signature of beyond-budget fault load.
-
-    Causal order, processing after leaving and partition departures are
-    judged at each event.  The fold keeps one {!Causal.Delivery} tracker per
-    node, numbers the mids it meets densely and keeps one byte per
-    (node, mid), and first departures as an array of ticks, so it allocates
-    nothing per event.  Atomicity compares the survivors' byte maps with
-    [Bytes.equal]; discarded mids that survivors processed show in the same
-    maps, and only then are the events replayed, to list them in order.
-    Violations are listed clause by clause in the order above, each
-    clause's in event order. *)
+    A run's processing events are fed to one {!t}, live or replayed: each
+    event with the message's explicit dependencies, read in place
+    ({!Labels}), and each departure with its reason.  {!finish} adds the
+    one clause a trace cannot witness, {b view agreement}: all surviving
+    processes hold the same group view (Section 4, assumption 4).  The
+    other clauses — causal order, uniform atomicity among survivors, no
+    zombie processing, primary partition — are {!Sim.Oracle}'s.  Violations
+    are listed clause by clause (causal order, atomicity, zombie, views,
+    partition), each clause's in event order. *)
 
 type verdict = {
   causal_ok : bool;
@@ -43,14 +22,30 @@ type verdict = {
 }
 
 val ok : verdict -> bool
-(** All five clauses hold.  The clauses are separate fields so the
-    trace-level oracle ({!Sim.Analysis}) can be cross-validated bit by bit:
-    it can witness causality, atomicity, zombie processing, and partition
-    departures from events alone, but not view agreement (per-node view
-    state is never traced). *)
+(** All five clauses hold. *)
+
+val of_oracle : Sim.Oracle.verdict -> verdict
+(** The oracle's verdict in urcgc's terms: processing twice counts as a
+    causal-order failure, and view agreement (never traced) holds. *)
+
+val agrees : verdict -> verdict -> bool
+(** Equal causal, atomicity, zombie and partition bits: two feeds of the
+    oracle saw the same events.  View agreement is left out, since a trace
+    cannot witness it. *)
 
 type t
 (** The fold's state for one run. *)
+
+module Labels : sig
+  val deliver :
+    Sim.Oracle.t ->
+    node:int ->
+    Causal.Mid.t ->
+    deps:Causal.Mid.t array ->
+    at:int ->
+    unit
+  (** {!Sim.Oracle.Explicit} over {!Causal.Mid}. *)
+end
 
 val create : n:int -> t
 (** A fold over a group of [n] members.  Every node id and mid origin fed

@@ -273,6 +273,15 @@ let run_schedule c ctx =
       ~config:(Urcgc.Config.make ~k:c.k ~n ())
       ~medium ()
   in
+  (* Judged as it runs: the checker's fold and the remote-delivery count
+     are fed every processing event and departure. *)
+  let checker = Checker.create ~n in
+  let delivered_remote = ref 0 in
+  Urcgc.Cluster.on_delivery cluster (fun node msg at ->
+      Checker.deliver checker node msg at;
+      if not (Net.Node_id.equal node msg.Causal.Causal_msg.mid.origin) then
+        incr delivered_remote);
+  Urcgc.Cluster.on_departure cluster (Checker.depart checker);
   (* Fixed message program: message j at node (j mod n), subrun (j / n).
      Subrun-0 submissions happen before the clock starts; later ones after
      the preceding round completes. *)
@@ -388,15 +397,15 @@ let run_schedule c ctx =
     then stop := true
   done;
   (* -- judge ----------------------------------------------------------- *)
-  let verdict = Checker.check cluster in
-  let generated = List.length (Urcgc.Cluster.generations cluster) in
-  let delivered_remote =
-    let count = ref 0 in
-    Urcgc.Cluster.iter_deliveries cluster (fun node msg _ ->
-        let origin = Causal.Mid.origin msg.Causal.Causal_msg.mid in
-        if not (Net.Node_id.equal node origin) then incr count);
-    !count
+  let verdict =
+    Checker.finish checker
+      ~actives:(Urcgc.Cluster.active_members cluster)
+      ~view:(fun node -> Urcgc.Member.view (Urcgc.Cluster.member cluster node))
+      ~discards:(Urcgc.Cluster.discards cluster)
+      ~iter:(Urcgc.Cluster.iter_deliveries cluster)
   in
+  let generated = List.length (Urcgc.Cluster.generations cluster) in
+  let delivered_remote = !delivered_remote in
   let fault_free =
     crashes = [] && omission_slot < 0 && c.silenced = 0
   in
@@ -420,7 +429,9 @@ let run_schedule c ctx =
     if not c.with_oracle then (None, [])
     else
       let analysis = Sim.Analysis.analyze ~n (Sim.Trace.records trace) in
-      let agrees = Analyzer.agrees verdict analysis.Sim.Analysis.verdict in
+      let agrees =
+        Checker.agrees verdict (Checker.of_oracle analysis.Sim.Analysis.verdict)
+      in
       ( Some agrees,
         if agrees then []
         else [ "oracle: trace oracle disagrees with the live checker" ] )

@@ -45,10 +45,12 @@
     empirically by the test suite: pruned and brute-force exploration must
     report the same violation set.
 
-    Every explored schedule is judged by {!Checker.check}, by liveness
+    Every explored schedule is judged as it runs by the {!Checker} fold
+    (fed through [Urcgc.Cluster.on_delivery]/[on_departure]), by liveness
     clauses (quiescence at the horizon; complete remote delivery when no
-    fault was injected), and — optionally — by the independent
-    {!Sim.Analysis} trace oracle cross-validated via {!Analyzer.agrees}. *)
+    fault was injected), and — optionally — by the same oracle fed from the
+    schedule's trace ({!Sim.Analysis}), which must agree
+    ({!Checker.agrees}): the trace carries every event the live feed saw. *)
 
 type silence_mode =
   | Window  (** the burst ends with the window: fault-free thereafter *)

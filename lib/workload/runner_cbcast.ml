@@ -19,59 +19,22 @@ type report = {
   violations : string list;
 }
 
-(* Replay the delivery log and verify CBCAST's own causal condition. *)
-let check_causal n deliveries violations =
-  let locals = Hashtbl.create 16 in
-  let local node =
-    match Hashtbl.find_opt locals node with
-    | Some vt -> vt
-    | None ->
-        let vt = Cbcast.Vclock.create ~n in
-        Hashtbl.replace locals node vt;
-        vt
-  in
-  let ok = ref true in
+(* The oracle's CBCAST feed: a message depends on entry [j] of its vector
+   timestamp for every other process [j].  With no discard fed, the events
+   are never replayed. *)
+let judge ~n ~actives deliveries =
+  let oracle = Sim.Oracle.create ~n ~from_start:true in
   List.iter
     (fun { Cbcast.Cluster.node; data; at } ->
-      let vt = local node in
-      if
-        Cbcast.Vclock.deliverable ~msg_vt:data.Cbcast.Cb_wire.vt
-          ~from:data.Cbcast.Cb_wire.sender ~local:vt
-      then Cbcast.Vclock.tick vt data.Cbcast.Cb_wire.sender
-      else begin
-        ok := false;
-        violations :=
-          Format.asprintf "%a delivered %a#%d out of causal order at %a"
-            Net.Node_id.pp node Net.Node_id.pp data.Cbcast.Cb_wire.sender
-            (Cbcast.Cb_wire.seq data) Sim.Ticks.pp at
-          :: !violations;
-        Cbcast.Vclock.merge vt data.Cbcast.Cb_wire.vt
-      end)
+      Sim.Oracle.deliver oracle ~node:(node :> int)
+        ~origin:(data.Cbcast.Cb_wire.sender :> int)
+        ~seq:(Cbcast.Cb_wire.seq data)
+        ~need:(Cbcast.Vclock.to_array data.Cbcast.Cb_wire.vt)
+        ~at:(at :> int))
     deliveries;
-  !ok
-
-let check_atomicity actives deliveries violations =
-  let sets = Hashtbl.create 16 in
-  List.iter
-    (fun { Cbcast.Cluster.node; data; _ } ->
-      Hashtbl.add sets node
-        (Net.Node_id.to_int data.Cbcast.Cb_wire.sender, Cbcast.Cb_wire.seq data))
-    deliveries;
-  let delivered node = List.sort_uniq compare (Hashtbl.find_all sets node) in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      let reference = delivered first in
-      let differing = List.filter (fun node -> delivered node <> reference) rest in
-      List.iter
-        (fun node ->
-          violations :=
-            Format.asprintf
-              "cbcast atomicity: %a and %a delivered different message sets"
-              Net.Node_id.pp first Net.Node_id.pp node
-            :: !violations)
-        differing;
-      differing = []
+  Sim.Oracle.finish oracle
+    ~survivors:(List.map (fun (node : Net.Node_id.t) -> (node :> int)) actives)
+    ~agreement:[] ~replay:ignore
 
 let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   let engine = Sim.Engine.create () in
@@ -132,10 +95,9 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
             in
             Float.max 0.0 (last -. first))
   in
-  let actives = Cbcast.Cluster.active_members cluster in
-  let violations = ref [] in
-  let causal_ok = check_causal n deliveries violations in
-  let atomicity_ok = check_atomicity actives deliveries violations in
+  let verdict =
+    judge ~n ~actives:(Cbcast.Cluster.active_members cluster) deliveries
+  in
   let traffic = Cbcast.Cluster.traffic cluster in
   {
     name;
@@ -158,9 +120,9 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
               (fun { Cbcast.Cluster.view_id; _ } -> view_id)
               (Cbcast.Cluster.view_changes cluster)));
     flush_time_rtd;
-    causal_ok;
-    atomicity_ok;
-    violations = List.rev !violations;
+    causal_ok = verdict.causal_ok && verdict.at_most_once_ok;
+    atomicity_ok = verdict.atomicity_ok;
+    violations = verdict.violations;
   }
 
 let pp_report ppf r =

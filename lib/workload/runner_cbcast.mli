@@ -24,6 +24,15 @@ type report = {
   violations : string list;
 }
 
+val judge :
+  n:int ->
+  actives:Net.Node_id.t list ->
+  'a Cbcast.Cluster.delivery list ->
+  Sim.Oracle.verdict
+(** The oracle over a CBCAST delivery log, each message depending on entry
+    [j] of its vector timestamp for every other process [j]; [actives]
+    survived, and must have delivered the same messages. *)
+
 val run :
   ?tracer:Sim.Trace.t ->
   ?name:string ->

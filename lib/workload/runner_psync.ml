@@ -15,29 +15,20 @@ type report = {
   violations : string list;
 }
 
-(* Causal order under Psync: a message may be delivered only after every one
-   of its direct predecessors was delivered at the same node. *)
-let check_causal deliveries violations =
-  let seen = Hashtbl.create 1024 in
-  let ok = ref true in
+(* The oracle's Psync feed: a message depends on its direct predecessors in
+   the context graph.  Psync's report judges causal order only: no survivor
+   set, and with no discard fed the events are never replayed. *)
+let judge ~n deliveries =
+  let oracle = Sim.Oracle.create ~n ~from_start:true in
+  let mid { Psync.Context_graph.sender; seq } = { Causal.Mid.origin = sender; seq } in
   List.iter
     (fun { Psync.Cluster.node; msg; at } ->
-      let missing =
-        List.filter
-          (fun pred -> not (Hashtbl.mem seen (node, pred)))
-          msg.Psync.Context_graph.preds
-      in
-      if missing <> [] then begin
-        ok := false;
-        violations :=
-          Format.asprintf "%a delivered %a before %d predecessor(s) at %a"
-            Net.Node_id.pp node Psync.Context_graph.pp_mid
-            msg.Psync.Context_graph.mid (List.length missing) Sim.Ticks.pp at
-          :: !violations
-      end;
-      Hashtbl.replace seen (node, msg.Psync.Context_graph.mid) ())
+      Checker.Labels.deliver oracle ~node:(node :> int)
+        (mid msg.Psync.Context_graph.mid)
+        ~deps:(Array.of_list (List.map mid msg.Psync.Context_graph.preds))
+        ~at:(at :> int))
     deliveries;
-  !ok
+  Sim.Oracle.finish oracle ~survivors:[] ~agreement:[] ~replay:ignore
 
 let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
     ~max_rtd () =
@@ -73,8 +64,7 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
            ~remote:(not (Net.Node_id.equal node sender))
            at))
     deliveries;
-  let violations = ref [] in
-  let causal_ok = check_causal deliveries violations in
+  let verdict = judge ~n deliveries in
   let traffic = Net.Netsim.traffic net in
   {
     name;
@@ -89,8 +79,8 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
     pending_peak = !pending_peak;
     dropped = Psync.Cluster.dropped cluster;
     masked = List.length (Psync.Cluster.masked cluster);
-    causal_ok;
-    violations = List.rev !violations;
+    causal_ok = verdict.causal_ok && verdict.at_most_once_ok;
+    violations = verdict.violations;
   }
 
 let pp_report ppf r =

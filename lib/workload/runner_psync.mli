@@ -17,6 +17,11 @@ type report = {
   violations : string list;
 }
 
+val judge : n:int -> 'a Psync.Cluster.delivery list -> Sim.Oracle.verdict
+(** The oracle over a Psync delivery log, each message depending on its
+    direct predecessors.  Only causal order and processing twice are
+    judged: Psync promises no atomicity. *)
+
 val run :
   ?tracer:Sim.Trace.t ->
   ?name:string ->

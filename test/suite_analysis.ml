@@ -17,14 +17,14 @@ let bcast t ~src ~origin ~seq ~deps =
 let deliver t node (origin, seq) =
   r t (Sim.Trace.Deliver { node; mid = { Sim.Trace.origin; seq } })
 
-let check_verdict ~name expected (v : Sim.Analysis.verdict) =
+let check_verdict ~name expected (v : Sim.Oracle.verdict) =
   let causal, amo, atomicity, zombie = expected in
-  Alcotest.(check bool) (name ^ ": causal") causal v.Sim.Analysis.causal_ok;
+  Alcotest.(check bool) (name ^ ": causal") causal v.Sim.Oracle.causal_ok;
   Alcotest.(check bool)
-    (name ^ ": at-most-once") amo v.Sim.Analysis.at_most_once_ok;
+    (name ^ ": at-most-once") amo v.Sim.Oracle.at_most_once_ok;
   Alcotest.(check bool)
-    (name ^ ": atomicity") atomicity v.Sim.Analysis.atomicity_ok;
-  Alcotest.(check bool) (name ^ ": zombie") zombie v.Sim.Analysis.zombie_ok
+    (name ^ ": atomicity") atomicity v.Sim.Oracle.atomicity_ok;
+  Alcotest.(check bool) (name ^ ": zombie") zombie v.Sim.Oracle.zombie_ok
 
 let analyze ?n records = Sim.Analysis.analyze ?n ~complete:true records
 
@@ -42,6 +42,91 @@ let clean_history =
     deliver 22 0 (1, 1);
   ]
 
+let dup_history = clean_history @ [ deliver 30 1 (0, 1) ]
+
+let gap_history =
+  [
+    bcast 10 ~src:0 ~origin:0 ~seq:1 ~deps:0;
+    deliver 10 0 (0, 1);
+    bcast 12 ~src:0 ~origin:0 ~seq:2 ~deps:1;
+    deliver 12 0 (0, 2);
+    bcast 14 ~src:0 ~origin:0 ~seq:3 ~deps:1;
+    deliver 14 0 (0, 3);
+    (* Node 1 starts the chain correctly, then skips seq 2. *)
+    deliver 20 1 (0, 1);
+    deliver 21 1 (0, 3);
+  ]
+
+(* (1,1) is labelled with the full frontier, which includes (0,1); node 2
+   processes (1,1) first.  Chain contiguity alone cannot see this — only
+   the vector check can. *)
+let frontier_history =
+  [
+    bcast 10 ~src:0 ~origin:0 ~seq:1 ~deps:0;
+    deliver 10 0 (0, 1);
+    deliver 11 1 (0, 1);
+    bcast 12 ~src:1 ~origin:1 ~seq:1 ~deps:1;
+    deliver 12 1 (1, 1);
+    deliver 20 2 (1, 1);
+    deliver 21 2 (0, 1);
+    deliver 25 0 (1, 1);
+  ]
+
+let unatomic_history =
+  clean_history
+  @ [
+      bcast 30 ~src:0 ~origin:0 ~seq:2 ~deps:2;
+      deliver 30 0 (0, 2);
+      (* never processed at node 1 *)
+    ]
+
+let crashed_history =
+  unatomic_history @ [ r 40 (Sim.Trace.Crash { node = 1 }) ]
+
+(* Both survivors processed (1,1), which agreement later discarded. *)
+let discarded_history =
+  clean_history
+  @ [
+      r 30
+        (Sim.Trace.Wait_discard
+           { node = 0; mids = [ { Sim.Trace.origin = 1; seq = 1 } ] });
+    ]
+
+(* Node 1 leaves with a solo view, then keeps processing. *)
+let departed_history =
+  clean_history
+  @ [
+      r 25 (Sim.Trace.Left { node = 1; reason = "partitioned (solo view)" });
+      bcast 30 ~src:0 ~origin:0 ~seq:2 ~deps:2;
+      deliver 30 0 (0, 2);
+      deliver 31 1 (0, 2);
+    ]
+
+(* Mid-chain deliveries with no broadcast in sight: a ring that dropped the
+   prefix. *)
+let window_history =
+  [ deliver 500 0 (0, 7); deliver 501 1 (0, 7); deliver 510 0 (0, 8) ]
+
+let window_gap_history = window_history @ [ deliver 520 0 (0, 11) ]
+
+(* Every hand-built trace, with the group size and completeness it is
+   analyzed under: the reference test runs them all. *)
+let hand_built =
+  [
+    ("clean", Some 2, Some true, clean_history);
+    ("silent members", Some 5, Some true, clean_history);
+    ("inferred n", None, Some true, clean_history);
+    ("duplicate", Some 2, Some true, dup_history);
+    ("gap", Some 2, Some true, gap_history);
+    ("frontier", Some 3, Some true, frontier_history);
+    ("unatomic", Some 2, Some true, unatomic_history);
+    ("crashed", Some 2, Some true, crashed_history);
+    ("discarded", Some 2, Some true, discarded_history);
+    ("departed", Some 2, Some true, departed_history);
+    ("window", Some 2, None, window_history);
+    ("window gap", Some 2, None, window_gap_history);
+  ]
+
 let oracle_tests =
   [
     Alcotest.test_case "clean history passes every check" `Quick (fun () ->
@@ -49,91 +134,55 @@ let oracle_tests =
         check_verdict ~name:"clean" (true, true, true, true)
           a.Sim.Analysis.verdict;
         Alcotest.(check (list string))
-          "no violations" [] a.Sim.Analysis.verdict.Sim.Analysis.violations);
+          "no violations" [] a.Sim.Analysis.verdict.Sim.Oracle.violations);
     Alcotest.test_case "duplicate processing violates at-most-once" `Quick
       (fun () ->
         let a =
-          analyze ~n:2 (clean_history @ [ deliver 30 1 (0, 1) ])
+          analyze ~n:2 dup_history
         in
         check_verdict ~name:"dup" (true, false, true, true)
           a.Sim.Analysis.verdict;
         Alcotest.(check bool)
           "names the event" true
           (List.exists
-             (fun v -> contains v "(0,1)")
-             a.Sim.Analysis.verdict.Sim.Analysis.violations));
+             (fun v -> contains v "p1 processed p0#1")
+             a.Sim.Analysis.verdict.Sim.Oracle.violations));
     Alcotest.test_case "a gap in an origin chain violates causal order" `Quick
       (fun () ->
         let a =
-          analyze ~n:2
-            [
-              bcast 10 ~src:0 ~origin:0 ~seq:1 ~deps:0;
-              deliver 10 0 (0, 1);
-              bcast 12 ~src:0 ~origin:0 ~seq:2 ~deps:1;
-              deliver 12 0 (0, 2);
-              bcast 14 ~src:0 ~origin:0 ~seq:3 ~deps:1;
-              deliver 14 0 (0, 3);
-              (* Node 1 starts the chain correctly, then skips seq 2. *)
-              deliver 20 1 (0, 1);
-              deliver 21 1 (0, 3);
-            ]
+          analyze ~n:2 gap_history
         in
         check_verdict ~name:"gap" (false, true, false, true)
           a.Sim.Analysis.verdict;
         Alcotest.(check bool)
-          "says out of order" true
+          "names the chain gap" true
           (List.exists
-             (fun v -> contains v "out of order")
-             a.Sim.Analysis.verdict.Sim.Analysis.violations));
+             (fun v -> contains v "p1 processed p0#3 at 0.21rtd before its causal predecessors (missing p0#2)")
+             a.Sim.Analysis.verdict.Sim.Oracle.violations));
     Alcotest.test_case
       "processing ahead of a frontier dependency violates causal order" `Quick
       (fun () ->
-        (* (1,1) is labelled with the full frontier, which includes (0,1);
-           node 2 processes (1,1) first.  Chain contiguity alone cannot see
-           this — only the vector check can. *)
         let a =
-          analyze ~n:3
-            [
-              bcast 10 ~src:0 ~origin:0 ~seq:1 ~deps:0;
-              deliver 10 0 (0, 1);
-              deliver 11 1 (0, 1);
-              bcast 12 ~src:1 ~origin:1 ~seq:1 ~deps:1;
-              deliver 12 1 (1, 1);
-              deliver 20 2 (1, 1);
-              deliver 21 2 (0, 1);
-              deliver 25 0 (1, 1);
-            ]
+          analyze ~n:3 frontier_history
         in
         check_verdict ~name:"frontier" (false, true, true, true)
           a.Sim.Analysis.verdict;
         Alcotest.(check bool)
           "names the predecessor" true
           (List.exists
-             (fun v -> contains v "causal predecessor (0,1)")
-             a.Sim.Analysis.verdict.Sim.Analysis.violations));
+             (fun v -> contains v "p2 processed p1#1 at 0.20rtd before its causal predecessors (missing p0#1)")
+             a.Sim.Analysis.verdict.Sim.Oracle.violations));
     Alcotest.test_case "survivors with different sets violate atomicity" `Quick
       (fun () ->
         let a =
-          analyze ~n:2
-            (clean_history
-            @ [
-                bcast 30 ~src:0 ~origin:0 ~seq:2 ~deps:2;
-                deliver 30 0 (0, 2);
-                (* never processed at node 1 *)
-              ])
+          analyze ~n:2 unatomic_history
         in
         check_verdict ~name:"atomicity" (true, true, false, true)
           a.Sim.Analysis.verdict);
     Alcotest.test_case "a crashed process is exempt from atomicity" `Quick
       (fun () ->
         let a =
-          analyze ~n:2
-            (clean_history
-            @ [
-                bcast 30 ~src:0 ~origin:0 ~seq:2 ~deps:2;
-                deliver 30 0 (0, 2);
-                r 40 (Sim.Trace.Crash { node = 1 });
-              ])
+          analyze ~n:2 crashed_history
         in
         check_verdict ~name:"crash-exempt" (true, true, true, true)
           a.Sim.Analysis.verdict;
@@ -141,17 +190,24 @@ let oracle_tests =
     Alcotest.test_case "a survivor processing a discarded message is a zombie"
       `Quick (fun () ->
         let a =
-          analyze ~n:2
-            (clean_history
-            @ [
-                r 30
-                  (Sim.Trace.Wait_discard
-                     { node = 0; mids = [ { Sim.Trace.origin = 1; seq = 1 } ] });
-              ])
+          analyze ~n:2 discarded_history
         in
-        (* Both survivors processed (1,1), which agreement later discarded. *)
         check_verdict ~name:"zombie" (true, true, true, false)
           a.Sim.Analysis.verdict);
+    Alcotest.test_case
+      "processing after a solo-view departure: zombie and lost partition"
+      `Quick (fun () ->
+        let v = (analyze ~n:2 departed_history).Sim.Analysis.verdict in
+        check_verdict ~name:"departed" (true, true, true, false) v;
+        Alcotest.(check bool) "partition" false v.Sim.Oracle.partition_ok;
+        Alcotest.(check (list string))
+          "violations"
+          [
+            "zombie: p1 processed p0#2 at 0.31rtd after leaving at 0.25rtd";
+            "liveness: p1 departed at 0.25rtd with a solo view — the group \
+             lost its primary partition";
+          ]
+          v.Sim.Oracle.violations);
     Alcotest.test_case "group size is inferred from the highest index" `Quick
       (fun () ->
         let a = Sim.Analysis.analyze ~complete:true clean_history in
@@ -161,24 +217,16 @@ let oracle_tests =
         (* The three silent members never processed anything. *)
         Alcotest.(check bool)
           "silent members break atomicity" false
-          b.Sim.Analysis.verdict.Sim.Analysis.atomicity_ok);
+          b.Sim.Analysis.verdict.Sim.Oracle.atomicity_ok);
   ]
 
 let truncation_tests =
   [
     Alcotest.test_case "a suffix window reports coverage, not violations"
       `Quick (fun () ->
-        (* Mid-chain deliveries with no broadcast in sight: a ring that
-           dropped the prefix.  Autodetection must flag it and the oracle
-           must not invent chain-gap or atomicity violations. *)
-        let records =
-          [
-            deliver 500 0 (0, 7);
-            deliver 501 1 (0, 7);
-            deliver 510 0 (0, 8);
-          ]
-        in
-        let a = Sim.Analysis.analyze ~n:2 records in
+        (* Autodetection must flag the window and the oracle must not
+           invent chain-gap or atomicity violations. *)
+        let a = Sim.Analysis.analyze ~n:2 window_history in
         Alcotest.(check bool)
           "detected as truncated" false a.Sim.Analysis.coverage.Sim.Analysis.complete;
         check_verdict ~name:"window" (true, true, true, true)
@@ -187,15 +235,15 @@ let truncation_tests =
           "atomicity skipped" true
           (List.exists
              (fun s -> contains s "atomicity")
-             a.Sim.Analysis.verdict.Sim.Analysis.skipped);
+             a.Sim.Analysis.verdict.Sim.Oracle.skipped);
         Alcotest.(check int)
           "pre-window mids counted" 2
           a.Sim.Analysis.coverage.Sim.Analysis.pre_window_mids;
         (* A real gap inside the window is still a violation. *)
-        let b = Sim.Analysis.analyze ~n:2 (records @ [ deliver 520 0 (0, 11) ]) in
+        let b = Sim.Analysis.analyze ~n:2 window_gap_history in
         Alcotest.(check bool)
           "in-window gap still caught" false
-          b.Sim.Analysis.verdict.Sim.Analysis.causal_ok);
+          b.Sim.Analysis.verdict.Sim.Oracle.causal_ok);
     Alcotest.test_case "a complete trace is autodetected" `Quick (fun () ->
         let lines = Suite_trace.trace_jsonl (Suite_trace.golden_scenario ()) in
         match Sim.Analysis.parse_jsonl lines with
@@ -253,6 +301,58 @@ let parser_tests =
         | Ok _ -> Alcotest.fail "accepted malformed line"
         | Error msg ->
             Alcotest.(check bool) "line 2 named" true (contains msg "line 2"));
+    Alcotest.test_case "node indices at or above the cap are refused" `Quick
+      (fun () ->
+        let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+        let before = words () in
+        let refused =
+          Sim.Analysis.parse_jsonl [ {|{"t":0,"ev":"crash","node":1000000}|} ]
+        in
+        let spent = words () -. before in
+        (match refused with
+        | Ok _ -> Alcotest.fail "accepted node 1000000"
+        | Error msg ->
+            Alcotest.(check bool) "line 1 named" true (contains msg "line 1");
+            Alcotest.(check bool) "cap named" true (contains msg "1024"));
+        Alcotest.(check bool)
+          (Printf.sprintf "bounded allocation (%.0f words)" spent)
+          true (spent < 10_000.);
+        let at_cap = Sim.Analysis.max_nodes in
+        let line field i =
+          Printf.sprintf {|{"t":0,"ev":"deliver","node":%s,"origin":%s,"seq":1}|}
+            (if field = "node" then string_of_int i else "0")
+            (if field = "origin" then string_of_int i else "0")
+        in
+        List.iter
+          (fun field ->
+            Alcotest.(check bool)
+              (field ^ " just below the cap") true
+              (Result.is_ok (Sim.Analysis.parse_line (line field (at_cap - 1))));
+            Alcotest.(check bool)
+              (field ^ " at the cap") true
+              (Result.is_error (Sim.Analysis.parse_line (line field at_cap))))
+          [ "node"; "origin" ];
+        Alcotest.(check bool)
+          "discarded mid origin at the cap" true
+          (Result.is_error
+             (Sim.Analysis.parse_line
+                (Printf.sprintf
+                   {|{"t":0,"ev":"wait_discard","node":0,"mids":[[%d,1]]}|}
+                   at_cap))));
+    Alcotest.test_case "a far sequence number stays cheap" `Quick (fun () ->
+        (* Per-origin tables are dense only while seqs are; a hostile seq
+           must not size anything. *)
+        let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+        let before = words () in
+        let a =
+          Sim.Analysis.analyze
+            [ deliver 0 0 (0, 1 lsl 40); deliver 1 1 (0, 1 lsl 40) ]
+        in
+        let spent = words () -. before in
+        Alcotest.(check bool) "verdict" true (Sim.Oracle.ok a.Sim.Analysis.verdict);
+        Alcotest.(check bool)
+          (Printf.sprintf "bounded allocation (%.0f words)" spent)
+          true (spent < 10_000.));
     Alcotest.test_case "a trailing metrics line is returned verbatim" `Quick
       (fun () ->
         let metrics = {|{"metrics":{"counters":{},"gauges":{},"histograms":{}}}|} in
@@ -388,14 +488,19 @@ let agreement_property ~over_budget ~budget ~seed () =
       Workload.Campaign.scenario_of_spec ~name:"oracle-prop" ~seed:run_seed
         spec
     in
-    let result = Workload.Analyzer.run_scenario scenario in
-    let checker = result.Workload.Analyzer.report.Workload.Runner.verdict in
-    let oracle = result.Workload.Analyzer.analysis.Sim.Analysis.verdict in
-    if not (Workload.Analyzer.agrees checker oracle) then
+    let tracer = Sim.Trace.unbounded () in
+    let checker = (Workload.Runner.run ~tracer scenario).Workload.Runner.verdict in
+    let oracle =
+      Workload.Checker.of_oracle
+        (Sim.Analysis.analyze ~n:spec.Workload.Campaign.n
+           (Sim.Trace.records tracer))
+          .Sim.Analysis.verdict
+    in
+    if not (Workload.Checker.agrees checker oracle) then
       Alcotest.failf
-        "oracle disagreement at run %d (seed %d): %a@.%a" index run_seed
-        Workload.Campaign.pp_spec spec Workload.Analyzer.pp_disagreement
-        (checker, oracle)
+        "oracle disagreement at run %d (seed %d): %a@.checker: %a@.trace: %a"
+        index run_seed Workload.Campaign.pp_spec spec Workload.Checker.pp
+        checker Workload.Checker.pp oracle
   done
 
 let property_tests =
@@ -425,8 +530,74 @@ let property_tests =
              {|"oracle_agrees":true|}));
   ]
 
+(* The trace feed against [Analysis_reference], the analyzer's own clause
+   code before the oracle was shared: equal clause bits and equal
+   skipped-check lists.  The violation wording is the oracle's now, so it
+   is not compared. *)
+let same_clauses ~what ?n ?complete records =
+  let expected = Analysis_reference.verdict ?n ?complete records in
+  let got = (Sim.Analysis.analyze ?n ?complete records).Sim.Analysis.verdict in
+  let bits causal amo atomicity zombie partition =
+    [ causal; amo; atomicity; zombie; partition ]
+  in
+  Alcotest.(check (list bool))
+    (what ^ ": causal, at-most-once, atomicity, zombie, partition")
+    (bits expected.causal_ok expected.at_most_once_ok expected.atomicity_ok
+       expected.zombie_ok expected.partition_ok)
+    (bits got.causal_ok got.at_most_once_ok got.atomicity_ok got.zombie_ok
+       got.partition_ok);
+  Alcotest.(check (list string))
+    (what ^ ": checks skipped") expected.skipped got.skipped;
+  got
+
+(* Traces of randomized campaign runs: the whole trace, and what bounded
+   rings of a few capacities keep of the same run. *)
+let campaign_traces ~over_budget ~budget ~seed f =
+  let rng = Sim.Rng.create ~seed in
+  for index = 0 to budget - 1 do
+    let spec = Workload.Campaign.generate ~over_budget rng in
+    let run_seed = Sim.Rng.derive ~seed index in
+    let what = Printf.sprintf "run %d (seed %d)" index run_seed in
+    List.iter
+      (fun capacity ->
+        let tracer =
+          match capacity with
+          | None -> Sim.Trace.unbounded ()
+          | Some capacity -> Sim.Trace.create ~capacity ()
+        in
+        ignore (Workload.Campaign.execute ~tracer ~seed:run_seed spec);
+        f ~what ~n:spec.Workload.Campaign.n ~window:(capacity <> None)
+          (Sim.Trace.records tracer))
+      [ None; Some 16; Some 64; Some 256 ]
+  done
+
+let reference_sweep ~over_budget ~budget ~seed () =
+  let failing = ref 0 and windows = ref 0 in
+  campaign_traces ~over_budget ~budget ~seed (fun ~what ~n ~window records ->
+      let v = same_clauses ~what ~n records in
+      if window && v.Sim.Oracle.skipped <> [] then incr windows;
+      if not (Sim.Oracle.ok v) then incr failing);
+  Alcotest.(check bool) "some traces are truncated windows" true (!windows > 0);
+  if over_budget then
+    Alcotest.(check bool) "some traces break a clause" true (!failing > 0)
+
+let reference_tests =
+  [
+    Alcotest.test_case "hand-built traces match the reference" `Quick
+      (fun () ->
+        List.iter
+          (fun (what, n, complete, records) ->
+            ignore (same_clauses ~what ?n ?complete records))
+          hand_built);
+    Alcotest.test_case "campaign traces match the reference (within budget)"
+      `Quick (reference_sweep ~over_budget:false ~budget:30 ~seed:11);
+    Alcotest.test_case "campaign traces match the reference (over budget)"
+      `Quick (reference_sweep ~over_budget:true ~budget:30 ~seed:12);
+  ]
+
 let suite =
   [
+    ("analysis.reference", reference_tests);
     ("analysis.oracle", oracle_tests);
     ("analysis.truncation", truncation_tests);
     ("analysis.parser", parser_tests);

@@ -219,8 +219,122 @@ let recover_cap_tests =
         | None -> Alcotest.fail "no reply");
   ]
 
+(* Negative controls for the oracle's baseline feeds: hand-built delivery
+   logs through the same [judge] the runners call, each breaking one clause.
+   n = 3; p0 broadcasts m1 = p0#1, p1 delivers it and broadcasts
+   m2 = p1#1, which depends on m1. *)
+let cb_delivery at_node ~sender vt at =
+  {
+    Cbcast.Cluster.node = node at_node;
+    data =
+      {
+        Cbcast.Cb_wire.sender = node sender;
+        view_id = 0;
+        vt = Cbcast.Vclock.of_array vt;
+        payload = ();
+        payload_size = 0;
+      };
+    at = Sim.Ticks.of_int at;
+  }
+
+let m1 at_node at = cb_delivery at_node ~sender:0 [| 1; 0; 0 |] at
+let m2 at_node at = cb_delivery at_node ~sender:1 [| 1; 1; 0 |] at
+let everyone = [ node 0; node 1; node 2 ]
+
+let ps_delivery at_node ~sender ~seq preds at =
+  let mid sender seq = { Psync.Context_graph.sender = node sender; seq } in
+  {
+    Psync.Cluster.node = node at_node;
+    msg =
+      {
+        Psync.Context_graph.mid = mid sender seq;
+        preds = List.map (fun (s, q) -> mid s q) preds;
+        payload = ();
+        payload_size = 0;
+      };
+    at = Sim.Ticks.of_int at;
+  }
+
+let bits (v : Sim.Oracle.verdict) =
+  [ v.causal_ok; v.at_most_once_ok; v.atomicity_ok ]
+
+let negative_control_tests =
+  [
+    Alcotest.test_case "cbcast: a clean log passes" `Quick (fun () ->
+        let v =
+          Workload.Runner_cbcast.judge ~n:3 ~actives:everyone
+            [ m1 0 10; m1 1 20; m2 1 30; m1 2 40; m2 2 50; m2 0 60 ]
+        in
+        Alcotest.(check (list bool)) "clauses" [ true; true; true ] (bits v));
+    Alcotest.test_case "cbcast: a delivery ahead of its vector clock" `Quick
+      (fun () ->
+        (* p2 delivers m2 before m1, which m2's timestamp counts. *)
+        let v =
+          Workload.Runner_cbcast.judge ~n:3 ~actives:everyone
+            [ m1 0 10; m1 1 20; m2 1 30; m2 2 40; m1 2 50; m2 0 60 ]
+        in
+        Alcotest.(check (list bool)) "causal" [ false; true; true ] (bits v);
+        Alcotest.(check (list string))
+          "violation"
+          [
+            "p2 processed p1#1 at 0.40rtd before its causal predecessors \
+             (missing p0#1)";
+          ]
+          v.violations);
+    Alcotest.test_case "cbcast: a survivor missing one message" `Quick
+      (fun () ->
+        let v =
+          Workload.Runner_cbcast.judge ~n:3 ~actives:everyone
+            [ m1 0 10; m1 1 20; m2 1 30; m1 2 40; m2 0 60 ]
+        in
+        Alcotest.(check (list bool)) "atomicity" [ true; true; false ] (bits v);
+        Alcotest.(check (list string))
+          "violation"
+          [ "atomicity: p0 and p2 disagree (1 messages only at p0, 0 only at p2)" ]
+          v.violations;
+        (* The same log with p2 crashed: no survivor disagrees. *)
+        let crashed =
+          Workload.Runner_cbcast.judge ~n:3 ~actives:[ node 0; node 1 ]
+            [ m1 0 10; m1 1 20; m2 1 30; m1 2 40; m2 0 60 ]
+        in
+        Alcotest.(check (list bool))
+          "p2 crashed" [ true; true; true ] (bits crashed));
+    Alcotest.test_case "psync: a delivery before a direct predecessor" `Quick
+      (fun () ->
+        let clean =
+          Workload.Runner_psync.judge ~n:3
+            [
+              ps_delivery 0 ~sender:0 ~seq:1 [] 10;
+              ps_delivery 1 ~sender:0 ~seq:1 [] 20;
+              ps_delivery 1 ~sender:1 ~seq:1 [ (0, 1) ] 30;
+              ps_delivery 2 ~sender:0 ~seq:1 [] 40;
+              ps_delivery 2 ~sender:1 ~seq:1 [ (0, 1) ] 50;
+            ]
+        in
+        Alcotest.(check (list bool)) "clean" [ true; true; true ] (bits clean);
+        let v =
+          Workload.Runner_psync.judge ~n:3
+            [
+              ps_delivery 0 ~sender:0 ~seq:1 [] 10;
+              ps_delivery 1 ~sender:0 ~seq:1 [] 20;
+              ps_delivery 1 ~sender:1 ~seq:1 [ (0, 1) ] 30;
+              ps_delivery 2 ~sender:1 ~seq:1 [ (0, 1) ] 40;
+              ps_delivery 2 ~sender:0 ~seq:1 [] 50;
+            ]
+        in
+        Alcotest.(check bool) "causal" false v.causal_ok;
+        Alcotest.(check (list string))
+          "violation"
+          [
+            "p2 processed p1#1 at 0.40rtd before its causal predecessors \
+             (missing p0#1)";
+          ]
+          v.violations);
+  ]
+
 let suite =
   [
+    ("baselines.oracle_feeds", negative_control_tests);
     ("cbcast.takeover", cbcast_takeover_tests);
     ("psync.member", psync_member_tests);
     ("urcgc.recover_cap", recover_cap_tests);

@@ -114,6 +114,67 @@ let tests =
                             Alcotest.(check string)
                               "perfetto deterministic" (read_file perf_a)
                               (read_file perf_b)))))));
+    Alcotest.test_case "analyze refuses a node index past the cap with exit 2"
+      `Quick (fun () ->
+        with_temp_file (fun path ->
+            let oc = open_out path in
+            output_string oc "{\"t\":0,\"ev\":\"crash\",\"node\":1000000}\n";
+            close_out oc;
+            Alcotest.(check int)
+              "refused" 2
+              (run_cli (Printf.sprintf "analyze %s" (Filename.quote path)))));
+    Alcotest.test_case "analyze exits 1 on a violating trace" `Slow (fun () ->
+        (* Two one-line mutations of the smoke trace: processing twice, and
+           a survivor discarding a mid it had processed. *)
+        with_temp_file (fun trace_path ->
+            Alcotest.(check int)
+              "trace ok" 0
+              (run_cli
+                 (Printf.sprintf
+                    "trace -n 4 -K 2 --rate 1 --messages 3 --seed 5 \
+                     --max-rtd 30 --out %s"
+                    (Filename.quote trace_path)));
+            let lines =
+              String.split_on_char '\n' (read_file trace_path)
+              |> List.filter (fun l -> l <> "")
+            in
+            let first_deliver =
+              List.find (fun l -> Astring_contains.contains l {|"ev":"deliver"|}) lines
+            in
+            let discard =
+              match Sim.Analysis.parse_line first_deliver with
+              | Ok { Sim.Trace.time; event = Sim.Trace.Deliver { node; mid } } ->
+                  Sim.Trace.json_of_record
+                    { Sim.Trace.time; event = Sim.Trace.Wait_discard { node; mids = [ mid ] } }
+              | _ -> Alcotest.fail "no deliver line"
+            in
+            let after_first_deliver extra =
+              List.concat_map
+                (fun l -> if l == first_deliver then [ l; extra ] else [ l ])
+                lines
+            in
+            List.iter
+              (fun (what, variant, clause) ->
+                with_temp_file (fun path ->
+                    with_temp_file (fun report ->
+                        let oc = open_out_bin path in
+                        List.iter (fun l -> output_string oc (l ^ "\n")) variant;
+                        close_out oc;
+                        Alcotest.(check int)
+                          (what ^ ": exit") 1
+                          (run_cli
+                             (Printf.sprintf "analyze %s --out %s"
+                                (Filename.quote path) (Filename.quote report)));
+                        Alcotest.(check bool)
+                          (what ^ ": " ^ clause) true
+                          (Astring_contains.contains (read_file report)
+                             (Printf.sprintf {|"%s":false|} clause)))))
+              [
+                ("duplicated deliver", after_first_deliver first_deliver,
+                  "at_most_once_ok");
+                ("discarded after processing", after_first_deliver discard,
+                  "zombie_ok");
+              ]));
     check_exit "campaign --analyze leaves a healthy verdict untouched" 0
       "campaign --analyze --budget 1 --seed 1";
     Alcotest.test_case "urgc honors a fractional time cap" `Quick (fun () ->
